@@ -104,16 +104,6 @@ void ApplyHotPathEnvOverrides(FuzzyMatchConfig* config) {
       << 20;
   config->build_threads = static_cast<int>(EnvSize(
       "FM_BUILD_THREADS", static_cast<size_t>(config->build_threads)));
-  const char* path = std::getenv("FM_LOOKUP_PATH");
-  if (path != nullptr && *path != '\0') {
-    const Result<LookupPath> parsed = ParseLookupPath(path);
-    if (parsed.ok()) {
-      config->lookup_path = *parsed;
-    } else {
-      FM_LOG(Warning) << "ignoring FM_LOOKUP_PATH=" << path << ": "
-                      << parsed.status();
-    }
-  }
 }
 
 Result<std::unique_ptr<FuzzyMatcher>> BuildStrategy(

@@ -7,7 +7,6 @@
 //   FM_ACCEL_BUDGET_MB  ETI read-accelerator budget in MiB (0 disables)
 //   FM_TUPLE_CACHE_MB   verified-tuple cache budget in MiB (0 disables)
 //   FM_BUILD_THREADS    ETI build parallelism (1 = serial, 0 = all cores)
-//   FM_LOOKUP_PATH      lookup-path variant: scalar | simd | learned
 
 #ifndef FUZZYMATCH_BENCH_SUPPORT_BENCH_ENV_H_
 #define FUZZYMATCH_BENCH_SUPPORT_BENCH_ENV_H_
@@ -56,8 +55,8 @@ void PrintRow(const std::vector<std::string>& cells);
 
 /// Applies the hot-path acceleration overrides (DESIGN.md 5d) so every
 /// harness measures the accelerated vs B-tree-only paths from the same
-/// binary: FM_ACCEL_BUDGET_MB and FM_TUPLE_CACHE_MB (0 disables each),
-/// FM_BUILD_THREADS, and FM_LOOKUP_PATH (scalar|simd|learned).
+/// binary: FM_ACCEL_BUDGET_MB and FM_TUPLE_CACHE_MB (0 disables each)
+/// and FM_BUILD_THREADS.
 void ApplyHotPathEnvOverrides(FuzzyMatchConfig* config);
 
 /// Builds a FuzzyMatcher over env.customers with the given index strategy

@@ -1,6 +1,5 @@
 #include "common/simd_varint.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #if defined(FM_SIMD_ENABLED) && defined(__x86_64__)
@@ -163,16 +162,6 @@ SimdLevel DetectSimdLevelUncached() {
     hw = SimdLevel::kSse4;
   }
 #endif
-  const char* env = std::getenv("FM_SIMD_LEVEL");
-  if (env != nullptr && *env != '\0') {
-    const Result<SimdLevel> forced = ParseSimdLevel(env);
-    // The override can only lower the level: asking for a kernel the
-    // CPU (or an FM_SIMD=OFF build) lacks silently keeps the best
-    // supported one, so a fleet-wide env var never crashes a machine.
-    if (forced.ok() && *forced < hw) {
-      hw = *forced;
-    }
-  }
   return hw;
 }
 

@@ -11,11 +11,11 @@
 // re-enter the fast path.
 //
 // Dispatch: DetectSimdLevel() probes the CPU once (AVX2, then SSE4.1,
-// else scalar) and honours an FM_SIMD_LEVEL environment override
-// (scalar|sse4|avx2) clamped to what the hardware supports — tests use it
-// to force every kernel onto one machine. Builds with -DFM_SIMD=OFF (or
-// non-x86-64 targets) compile only the scalar path and DetectSimdLevel()
-// reports kScalar.
+// else scalar); the platform alone picks the kernel. Builds with
+// -DFM_SIMD=OFF (or non-x86-64 targets) compile only the scalar path and
+// DetectSimdLevel() reports kScalar. Tests run every kernel the CPU
+// supports on one machine by passing the level explicitly, with the
+// scalar kernel as their reference.
 //
 // Every kernel is bounds-checked: truncated input, overlong varints,
 // deltas overflowing uint32, and zero deltas (duplicate tids) all return
@@ -40,7 +40,6 @@ enum class SimdLevel : uint8_t {
 };
 
 /// The best level this binary + CPU supports, probed once (thread-safe).
-/// FM_SIMD_LEVEL=scalar|sse4|avx2 lowers (never raises) the answer.
 SimdLevel DetectSimdLevel();
 
 /// "scalar" / "sse4" / "avx2".

@@ -52,10 +52,6 @@ struct FuzzyMatchConfig {
   /// persisted index at Build/Open time (DESIGN.md 5d); 0 disables it and
   /// every probe takes the B-tree path.
   size_t accel_memory_bytes = 64u << 20;
-  /// Lookup-path ablation variant (DESIGN.md 5i): scalar | simd |
-  /// learned. Match output is byte-identical across variants; they
-  /// differ only in hot-path speed.
-  LookupPath lookup_path = LookupPath::kSimd;
 };
 
 /// What one online ETI rebuild did (see FuzzyMatcher::RebuildEti).
@@ -122,7 +118,7 @@ class FuzzyMatcher : public MatchSource {
   /// Online ETI rebuild/compaction (DESIGN.md 5j): builds a fresh ETI
   /// beside the live one while queries keep being served, captures
   /// maintenance that lands mid-build in a side log, replays it onto the
-  /// shadow index, re-seeds the read accelerators, and atomically swaps
+  /// shadow index, re-seeds the read accelerator, and atomically swaps
   /// the new index in — queries are never drained. Maintenance blocks
   /// during the reference scan and briefly around the swap. The old
   /// index is retired from the catalog (in-flight readers finish on it)

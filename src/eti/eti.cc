@@ -72,9 +72,7 @@ Eti::Eti(Table* rows, BPlusTree* index, EtiParams params)
 // owner vector moves wholesale, which keeps the published pointer valid.
 Eti::Eti(Eti&& other) noexcept
     : params_(std::move(other.params_)),
-      storage_owner_(std::move(other.storage_owner_)),
-      lookup_path_(other.lookup_path_),
-      decode_level_(other.decode_level_) {
+      storage_owner_(std::move(other.storage_owner_)) {
   storage_.store(other.storage_.load(std::memory_order_acquire),
                  std::memory_order_release);
   other.storage_.store(nullptr, std::memory_order_release);
@@ -84,8 +82,6 @@ Eti& Eti::operator=(Eti&& other) noexcept {
   if (this != &other) {
     params_ = std::move(other.params_);
     storage_owner_ = std::move(other.storage_owner_);
-    lookup_path_ = other.lookup_path_;
-    decode_level_ = other.decode_level_;
     storage_.store(other.storage_.load(std::memory_order_acquire),
                    std::memory_order_release);
     other.storage_.store(nullptr, std::memory_order_release);
@@ -93,18 +89,13 @@ Eti& Eti::operator=(Eti&& other) noexcept {
   return *this;
 }
 
-Eti::Eti(const Eti& other)
-    : params_(other.params_),
-      lookup_path_(other.lookup_path_),
-      decode_level_(other.decode_level_) {
+Eti::Eti(const Eti& other) : params_(other.params_) {
   InstallStorage(EtiStorage(other.storage()));
 }
 
 Eti& Eti::operator=(const Eti& other) {
   if (this != &other) {
     params_ = other.params_;
-    lookup_path_ = other.lookup_path_;
-    decode_level_ = other.decode_level_;
     InstallStorage(EtiStorage(other.storage()));
   }
   return *this;
@@ -113,17 +104,6 @@ Eti& Eti::operator=(const Eti& other) {
 void Eti::InstallStorage(EtiStorage next) {
   storage_owner_.push_back(std::make_unique<EtiStorage>(std::move(next)));
   storage_.store(storage_owner_.back().get(), std::memory_order_release);
-}
-
-void Eti::SwapStorage(Table* rows, BPlusTree* index,
-                      std::shared_ptr<EtiAccel> accel,
-                      std::shared_ptr<LearnedOffsets> learned) {
-  EtiStorage next;
-  next.rows = rows;
-  next.index = index;
-  next.accel = std::move(accel);
-  next.learned = std::move(learned);
-  InstallStorage(std::move(next));
 }
 
 void Eti::SwapStorageFrom(const Eti& other) {
@@ -173,16 +153,11 @@ Result<EtiEntry> Eti::DecodeEntry(const Row& row) {
 void Eti::InvalidateAccel(std::string_view gram, uint32_t coordinate,
                           uint32_t column) {
   const EtiStorage& s = storage();
-  if (s.accel == nullptr && s.learned == nullptr) {
+  if (s.accel == nullptr) {
     return;
   }
   FM_FAIL_POINT_VOID("eti.accel_invalidate");
-  if (s.accel != nullptr) {
-    s.accel->Invalidate(gram, coordinate, column);
-  }
-  if (s.learned != nullptr) {
-    s.learned->Invalidate(IndexKey(gram, coordinate, column));
-  }
+  s.accel->Invalidate(gram, coordinate, column);
 }
 
 Status Eti::MutateEntry(std::string_view gram, uint32_t coordinate,
@@ -471,37 +446,7 @@ Result<EtiLookupView> Eti::LookupHashed(uint64_t hash, std::string_view gram,
   // One coherent snapshot for the whole probe: a concurrent rebuild swap
   // cannot mix the old index with the new rows mid-lookup.
   const EtiStorage& s = storage();
-  // Staged encoded key: the learned route needs it up front, the B-tree
-  // route below needs it on fallback. Built at most once per probe, into
-  // scratch capacity.
-  bool key_staged = false;
-  const auto stage_key = [&]() {
-    if (!key_staged) {
-      KeyEncoder enc;
-      enc.Adopt(std::move(scratch->key));
-      enc.AppendString(gram).AppendU32(coordinate).AppendU32(column);
-      scratch->key = enc.Take();
-      key_staged = true;
-    }
-  };
-
-  if (lookup_path_ == LookupPath::kLearned && s.learned != nullptr) {
-    stage_key();
-    EtiLookupView view;
-    switch (s.learned->Probe(scratch->key, decode_level_, &scratch->tids,
-                             &view)) {
-      case LearnedOffsets::Outcome::kHit:
-        ProbeHitsCounter().Increment();
-        obs::AddTraceCount("accel_hits", 1);
-        return view;
-      case LearnedOffsets::Outcome::kNegative:
-        obs::AddTraceCount("accel_hits", 1);
-        return EtiLookupView{};
-      case LearnedOffsets::Outcome::kFallback:
-        obs::AddTraceCount("accel_fallbacks", 1);
-        break;  // consult the B-tree
-    }
-  } else if (s.accel) {
+  if (s.accel) {
     EtiLookupView view;
     switch (s.accel->ProbeHashed(hash, gram, coordinate, column,
                                  &scratch->tids, &view)) {
@@ -517,7 +462,11 @@ Result<EtiLookupView> Eti::LookupHashed(uint64_t hash, std::string_view gram,
         break;  // consult the B-tree
     }
   }
-  stage_key();
+  // B-tree fallback: encode the key into scratch capacity.
+  KeyEncoder enc;
+  enc.Adopt(std::move(scratch->key));
+  enc.AppendString(gram).AppendU32(coordinate).AppendU32(column);
+  scratch->key = enc.Take();
   auto rid_bytes = s.index->Get(scratch->key);
   if (!rid_bytes.ok()) {
     if (rid_bytes.status().IsNotFound()) {
@@ -539,8 +488,7 @@ Result<EtiLookupView> Eti::LookupHashed(uint64_t hash, std::string_view gram,
     return view;
   }
   TidListBytesCounter().Increment(row[4]->size());
-  FM_RETURN_IF_ERROR(
-      DecodeTidListInto(decode_level_, *row[4], &scratch->tids));
+  FM_RETURN_IF_ERROR(DecodeTidListInto(*row[4], &scratch->tids));
   view.tids = scratch->tids.data();
   view.num_tids = scratch->tids.size();
   ProbeHitsCounter().Increment();
@@ -550,28 +498,9 @@ Result<EtiLookupView> Eti::LookupHashed(uint64_t hash, std::string_view gram,
 Status Eti::AttachAccelerator(const EtiAccelOptions& options) {
   FM_ASSIGN_OR_RETURN(std::shared_ptr<EtiAccel> accel,
                       EtiAccel::Build(storage().rows, options));
-  accel->SetDecodeLevel(decode_level_);
-  UpdateStorage([&](EtiStorage* s) { s->accel = std::move(accel); });
-  return Status::OK();
-}
-
-Status Eti::SetLookupPath(LookupPath path) {
-  lookup_path_ = path;
-  decode_level_ = path == LookupPath::kScalar ? SimdLevel::kScalar
-                                              : DetectSimdLevel();
-  const EtiStorage& s = storage();
-  if (s.accel != nullptr) {
-    s.accel->SetDecodeLevel(decode_level_);
-  }
-  if (path == LookupPath::kLearned && s.learned == nullptr) {
-    FM_ASSIGN_OR_RETURN(
-        std::shared_ptr<LearnedOffsets> learned,
-        LearnedOffsets::Build(s.rows, LearnedOffsetsOptions{}));
-    UpdateStorage([&](EtiStorage* st) { st->learned = std::move(learned); });
-  }
-  obs::MetricsRegistry::Global()
-      .GetGauge("lookup.variant")
-      ->Set(static_cast<double>(path));
+  EtiStorage next = storage();
+  next.accel = std::move(accel);
+  InstallStorage(std::move(next));
   return Status::OK();
 }
 

@@ -23,8 +23,6 @@
 
 #include "common/result.h"
 #include "eti/eti_accel.h"
-#include "eti/learned_offsets.h"
-#include "eti/lookup_path.h"
 #include "storage/btree.h"
 #include "storage/database.h"
 #include "storage/table.h"
@@ -71,12 +69,12 @@ struct EtiEntry {
 /// thread (or per query); its buffer capacity is reused across probes.
 struct EtiScratch {
   std::vector<Tid> tids;
-  /// Encoded-key staging for the learned and B-tree routes.
+  /// Encoded-key staging for the B-tree fallback.
   std::string key;
 };
 
-/// The swappable quadruple behind an Eti: the persisted rows/index pair
-/// plus the in-memory read accelerators built over them. An online
+/// The swappable triple behind an Eti: the persisted rows/index pair
+/// plus the in-memory read accelerator built over them. An online
 /// rebuild assembles a fresh EtiStorage off to the side and installs it
 /// with one atomic pointer store; readers that loaded the old one keep
 /// using it (retired storages stay alive until the Eti dies).
@@ -85,7 +83,6 @@ struct EtiStorage {
   BPlusTree* index = nullptr;
   /// Shared so copies of the handle keep accelerating the same tables.
   std::shared_ptr<EtiAccel> accel;
-  std::shared_ptr<LearnedOffsets> learned;
 };
 
 /// Read handle over a built ETI.
@@ -123,8 +120,8 @@ class Eti {
   /// LookupInto with the accelerator probe hash precomputed — the batched
   /// probe loop computes hashes for a whole tuple, prefetches slot lines
   /// (PrefetchProbe), then probes in order. `hash` must be
-  /// ProbeHash(gram, coordinate, column); it is ignored on routes that do
-  /// not probe the hash accelerator.
+  /// ProbeHash(gram, coordinate, column); it is ignored when no
+  /// accelerator is attached.
   Result<EtiLookupView> LookupHashed(uint64_t hash, std::string_view gram,
                                      uint32_t coordinate, uint32_t column,
                                      EtiScratch* scratch) const;
@@ -136,32 +133,17 @@ class Eti {
   }
 
   /// Prefetches the accelerator slot line a future LookupHashed will
-  /// touch. No-op when the hash accelerator is not on the probe route.
+  /// touch. No-op when no accelerator is attached.
   void PrefetchProbe(uint64_t hash) const {
     const EtiStorage& s = storage();
-    if (s.accel != nullptr && lookup_path_ != LookupPath::kLearned) {
+    if (s.accel != nullptr) {
       s.accel->PrefetchSlot(hash);
     }
   }
 
   /// True when probes go through the hash accelerator (so precomputing
   /// hashes and prefetching slot lines pays off).
-  bool accel_probes_active() const {
-    return storage().accel != nullptr &&
-           lookup_path_ != LookupPath::kLearned;
-  }
-
-  /// Selects the lookup-path variant (writer-phase setup, before
-  /// concurrent readers start). kScalar pins posting decode to the
-  /// scalar kernel; kSimd (the default) uses the best kernel the CPU
-  /// supports; kLearned additionally builds the learned-offset structure
-  /// over the persisted rows and routes probes through it.
-  Status SetLookupPath(LookupPath path);
-
-  LookupPath lookup_path() const { return lookup_path_; }
-
-  /// The learned-offset structure, or nullptr (telemetry and tests).
-  const LearnedOffsets* learned() const { return storage().learned.get(); }
+  bool accel_probes_active() const { return storage().accel != nullptr; }
 
   /// Builds the in-memory read accelerator over the persisted rows (one
   /// sequential scan, DESIGN.md 5d). Must run before concurrent readers
@@ -176,16 +158,11 @@ class Eti {
   Table* rows() const { return storage().rows; }
   BPlusTree* index() const { return storage().index; }
 
-  /// Atomically installs a replacement storage quadruple — the swap half
-  /// of the online rebuild. The accelerators must already be built over
-  /// `rows`/`index`; in-flight readers finish on the storage they loaded.
-  /// Caller must serialize with maintenance (IndexTuple/UnindexTuple).
-  void SwapStorage(Table* rows, BPlusTree* index,
-                   std::shared_ptr<EtiAccel> accel,
-                   std::shared_ptr<LearnedOffsets> learned);
-
-  /// SwapStorage with `other`'s current quadruple — adopts a fully
-  /// assembled shadow Eti (the rebuild's handle) wholesale.
+  /// Atomically installs `other`'s current storage triple — the swap
+  /// half of the online rebuild, adopting a fully assembled shadow Eti
+  /// (the rebuild's handle) wholesale. In-flight readers finish on the
+  /// storage they loaded. Caller must serialize with maintenance
+  /// (IndexTuple/UnindexTuple).
   void SwapStorageFrom(const Eti& other);
 
   /// Incremental maintenance (the paper defers this "due to space
@@ -238,30 +215,18 @@ class Eti {
                        uint32_t column);
 
   /// One acquire-load snapshot per operation; every read in the
-  /// operation then sees one coherent quadruple even if a rebuild swaps
+  /// operation then sees one coherent triple even if a rebuild swaps
   /// mid-flight.
   const EtiStorage& storage() const {
     return *storage_.load(std::memory_order_acquire);
   }
-  /// Re-publishes the current storage with `mutate` applied (writer-side
-  /// copy-and-swap, used by AttachAccelerator/SetLookupPath).
-  template <typename Fn>
-  void UpdateStorage(Fn&& mutate) {
-    EtiStorage next = storage();
-    mutate(&next);
-    InstallStorage(std::move(next));
-  }
   void InstallStorage(EtiStorage next);
 
   EtiParams params_;
-  /// Current quadruple; retired ones are kept alive in storage_owner_
+  /// Current triple; retired ones are kept alive in storage_owner_
   /// for readers that loaded them pre-swap.
   std::atomic<const EtiStorage*> storage_{nullptr};
   std::vector<std::unique_ptr<EtiStorage>> storage_owner_;
-  LookupPath lookup_path_ = LookupPath::kSimd;
-  /// Varint kernel for posting decode on every route (accel, learned,
-  /// B-tree); follows lookup_path_.
-  SimdLevel decode_level_ = DetectSimdLevel();
 };
 
 /// Persists/reads the build parameters of an ETI as a small side relation

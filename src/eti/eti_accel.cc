@@ -314,7 +314,7 @@ EtiAccel::Outcome EtiAccel::ProbeHashed(uint64_t hash, std::string_view gram,
     }
     const std::string_view blob(post_arena_.data() + s.post_offset,
                                 s.post_len);
-    const Status decoded = DecodeTidListInto(decode_level_, blob, scratch);
+    const Status decoded = DecodeTidListInto(blob, scratch);
     if (!decoded.ok()) {
       // Defensive: a corrupt resident blob falls back to the B-tree,
       // which surfaces the corruption through the normal error path.

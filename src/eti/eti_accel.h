@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/simd_varint.h"
 #include "storage/table.h"
 
 namespace fuzzymatch {
@@ -103,11 +102,6 @@ class EtiAccel {
   void PrefetchSlot(uint64_t hash) const {
     __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
   }
-
-  /// Pins the varint kernel postings decode with (writer-phase setup;
-  /// the default is the best kernel the CPU supports). The scalar
-  /// ablation variant routes through here.
-  void SetDecodeLevel(SimdLevel level) { decode_level_ = level; }
 
   /// Writer-phase coherence hook: demotes the key to a spill marker (or
   /// the whole segment to incomplete when no marker fits). Must not run
@@ -171,7 +165,6 @@ class EtiAccel {
   uint64_t rows_scanned_ = 0;
   uint64_t rows_admitted_ = 0;
   bool complete_ = false;
-  SimdLevel decode_level_ = DetectSimdLevel();
 };
 
 }  // namespace fuzzymatch

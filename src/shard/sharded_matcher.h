@@ -7,10 +7,8 @@
 // (similarity desc, tid asc) ordering, so the merged output is
 // byte-identical to the single-database matcher's.
 //
-// Each shard owns `replicas_per_shard` query engines (the read fan-out
-// stub: all replicas share the shard's immutable index, each has its own
-// tuple cache) and the same number of worker threads; tasks round-robin
-// over the replica handles.
+// Each shard owns one query engine (with its own tuple cache) and one
+// worker thread that drains the shard's task queue.
 
 #ifndef FUZZYMATCH_SHARD_SHARDED_MATCHER_H_
 #define FUZZYMATCH_SHARD_SHARDED_MATCHER_H_
@@ -36,15 +34,8 @@ std::vector<Match> MergeTopK(
 /// is in flight.
 class ShardedMatcher : public MatchSource {
  public:
-  struct Options {
-    /// Query engines (and worker threads) per shard; tasks round-robin
-    /// over the replica handles.
-    size_t replicas_per_shard = 1;
-  };
-
   /// `router` must outlive the matcher.
-  static Result<std::unique_ptr<ShardedMatcher>> Create(
-      ShardRouter* router, Options options);
+  static Result<std::unique_ptr<ShardedMatcher>> Create(ShardRouter* router);
 
   ~ShardedMatcher() override;
 
@@ -64,19 +55,18 @@ class ShardedMatcher : public MatchSource {
 
   const ShardRouter& router() const { return *router_; }
   size_t num_shards() const { return router_->num_shards(); }
-  size_t replicas_per_shard() const { return options_.replicas_per_shard; }
 
   /// Tasks queued (not yet picked up) at shard `k` right now.
   size_t queue_depth(size_t k) const;
 
-  /// Query-path totals of shard `k`, summed over its replica engines.
+  /// Query-path totals of shard `k`'s engine.
   AggregateStats shard_aggregate_stats(size_t k) const;
 
  private:
   struct ShardExec;
   struct Task;
 
-  ShardedMatcher(ShardRouter* router, Options options);
+  explicit ShardedMatcher(ShardRouter* router);
 
   Result<std::vector<Match>> FindMatchesImpl(const Row& input,
                                              QueryStats* stats) const;
@@ -84,7 +74,6 @@ class ShardedMatcher : public MatchSource {
   void RunTask(ShardExec* exec, Task* task) const;
 
   ShardRouter* router_;
-  Options options_;
   size_t k_;  // MatcherOptions::k of the shard engines
   std::vector<std::unique_ptr<ShardExec>> execs_;
 };

@@ -300,6 +300,18 @@ TEST_F(EtiAccelTest, StopQGramCrossingThroughMaintenance) {
   EXPECT_TRUE((*after)->is_stop);
   EXPECT_EQ((*after)->frequency, 4u);
   EXPECT_TRUE((*after)->tids.empty());
+
+  // Re-seeding admits the row as a resident stop slot, which must serve
+  // the same NULL tid-list from the accelerator itself.
+  ASSERT_TRUE(built->eti.AttachAccelerator(EtiAccelOptions{}).ok());
+  ASSERT_TRUE(built->eti.accelerator()->complete());
+  EtiScratch scratch;
+  auto view = built->eti.LookupInto("seattle", 0, 1, &scratch);
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(view->found);
+  EXPECT_TRUE(view->is_stop);
+  EXPECT_EQ(view->frequency, 4u);
+  EXPECT_EQ(view->num_tids, 0u);
 }
 
 TEST_F(EtiAccelTest, MatcherResultsIdenticalWithAcceleratorOnAndOff) {

@@ -102,6 +102,20 @@ TEST(ServerStartupTest, OutOfRangeAccelBudgetFails) {
   std::filesystem::remove(csv);
 }
 
+TEST(ServerStartupTest, UnknownFlagFailsNamingIt) {
+  // The reference file does not exist, so a server that ignored the flag
+  // would still exit (on the missing file) instead of serving.
+  for (const std::string flag :
+       {"--shard 4", "--workrs 2", "--no-such-flag"}) {
+    SCOPED_TRACE(flag);
+    const RunResult run = RunServer(
+        "--ref /nonexistent/fm_no_such_file.csv --port 0 " + flag);
+    EXPECT_EQ(run.exit_code, 1);
+    ExpectOneLineDiagnostic(
+        run, ("unknown flag " + flag.substr(0, flag.find(' '))).c_str());
+  }
+}
+
 TEST(ServerStartupTest, AlreadyBoundPortFails) {
   // Hold the port ourselves so the server's bind must fail.
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);

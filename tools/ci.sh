@@ -18,11 +18,10 @@
 #                          # single-engine under the conservative bound
 #                          # policy, sharded test suite under TSan, and a
 #                          # bench_serving shard-scaling metrics archive
-#   tools/ci.sh lookupcheck # lookup-path ablation (DESIGN.md 5i): match
-#                          # output byte-identical across
-#                          # scalar|simd|learned, single-engine and
-#                          # 4-shard; a -DFM_SIMD=OFF build passing
-#                          # tier-1; bench_lookup_path metrics archived
+#   tools/ci.sh lookupcheck # SIMD vs scalar decode (DESIGN.md 5i): a
+#                          # -DFM_SIMD=OFF build passing tier-1, and its
+#                          # match output byte-identical to the default
+#                          # build's, single-engine and 4-shard
 #   tools/ci.sh walcheck   # durability (DESIGN.md 5j): kill-loop at every
 #                          # WAL/pager failpoint vs the acknowledged-op
 #                          # oracle, log-format + group-commit unit suite,
@@ -43,7 +42,7 @@ STAGE="${1:-all}"
 # the fault suites (sanitizer builds compile failpoints in, and injected
 # errors are where cleanup paths race). Randomized fault suites honor
 # FM_TEST_SEED, pinned below so sanitizer runs are reproducible.
-SANITIZER_TESTS='ConcurrentMatchTest|BufferPoolConcurrencyTest|ServerTest|IntrospectionTest|TraceConcurrencyTest|MetricsRegistryTest|BTreeStressTest|HeapFileStressTest|FileBackedPipelineTest|BatchCleanerTest|EtiAccelConcurrencyTest|TupleCacheTest|FailpointTest|DifferentialMaintenanceTest|ErrorPropagationTest|BufferPoolPressureTest|ExternalSortTest|EtiBuilderParallelTest|SimdVarintTest|TornPostingsTest|LearnedOffsetsTest'
+SANITIZER_TESTS='ConcurrentMatchTest|BufferPoolConcurrencyTest|ServerTest|IntrospectionTest|TraceConcurrencyTest|MetricsRegistryTest|BTreeStressTest|HeapFileStressTest|FileBackedPipelineTest|BatchCleanerTest|EtiAccelConcurrencyTest|TupleCacheTest|FailpointTest|DifferentialMaintenanceTest|ErrorPropagationTest|BufferPoolPressureTest|ExternalSortTest|EtiBuilderParallelTest|SimdVarintTest|TornPostingsTest'
 
 # The full fault-injection surface: the crash-consistency sweep over every
 # canonical failpoint plus the randomized differential harness.
@@ -68,8 +67,7 @@ run_sanitizer() {  # $1 = thread|address  $2 = build dir
         eti_accel_concurrency_test tuple_cache_test failpoint_test \
         differential_maintenance_test error_propagation_test \
         buffer_pool_pressure_test external_sort_test \
-        eti_builder_parallel_test simd_varint_test torn_postings_test \
-        learned_offsets_test
+        eti_builder_parallel_test simd_varint_test torn_postings_test
   FM_TEST_SEED="${FM_TEST_SEED:-101}" \
     ctest --test-dir "$2" --output-on-failure -j "$JOBS" \
         -R "$SANITIZER_TESTS"
@@ -316,7 +314,7 @@ run_shardcheck() {
         --out "$tmp/out.single.csv" --tokens --bound-policy conservative
   "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
         --out "$tmp/out.sharded.csv" --tokens --bound-policy conservative \
-        --shards 4 --replicas-per-shard 2
+        --shards 4
   cmp "$tmp/out.single.csv" "$tmp/out.sharded.csv"
   echo "[ci] match output byte-identical with 1 engine and 4 shards"
 
@@ -391,61 +389,39 @@ print("[ci] wal metrics archived: bench_results/bench_wal.metrics.json")
 PYEOF
 }
 
-# The lookup path (DESIGN.md 5i) is a pure speed knob: scalar, simd and
-# learned must produce byte-identical match output, single-engine and
-# through the 4-shard scatter/gather tier (conservative bound policy, the
-# configuration where sharded output is byte-exact). A -DFM_SIMD=OFF
-# build then proves the scalar fallback carries tier-1 on its own (the
-# non-x86 configuration), and bench_lookup_path archives the ablation
-# metrics — the probe-loop p50/p95 per variant — under bench_results/.
+# SIMD posting decode (DESIGN.md 5i) is a pure speed choice: the kernel
+# follows the CPU, and the scalar kernel must give the same answers. A
+# -DFM_SIMD=OFF build (only the scalar kernel, the non-x86 configuration)
+# must pass tier-1 on its own, and its CLI match output must be
+# byte-identical to the default Release build's, single-engine and
+# through the 4-shard scatter/gather tier (conservative bound policy,
+# the configuration where sharded output is byte-exact).
 run_lookupcheck() {
-  echo "=== [ci] lookupcheck: scalar|simd|learned parity + FM_SIMD=OFF ==="
+  echo "=== [ci] lookupcheck: SIMD vs scalar decode parity + FM_SIMD=OFF ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-  cmake --build build-ci-release -j "$JOBS" --target \
-        fuzzymatch_cli bench_lookup_path
-  local cli=build-ci-release/tools/fuzzymatch_cli
-  local tmp
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' RETURN
-  "$cli" gen --out "$tmp/ref.csv" --rows 2000 --seed 42
-  "$cli" corrupt --ref "$tmp/ref.csv" --out "$tmp/dirty.csv" --inputs 200
-
-  for path in scalar simd learned; do
-    "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
-          --out "$tmp/out.$path.csv" --tokens --lookup-path "$path"
-    "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
-          --out "$tmp/out.$path.s4.csv" --tokens --lookup-path "$path" \
-          --bound-policy conservative --shards 4
-  done
-  cmp "$tmp/out.scalar.csv" "$tmp/out.simd.csv"
-  cmp "$tmp/out.scalar.csv" "$tmp/out.learned.csv"
-  cmp "$tmp/out.scalar.s4.csv" "$tmp/out.simd.s4.csv"
-  cmp "$tmp/out.scalar.s4.csv" "$tmp/out.learned.s4.csv"
-  echo "[ci] match output byte-identical across lookup paths (1 and 4 shards)"
-
+  cmake --build build-ci-release -j "$JOBS" --target fuzzymatch_cli
   cmake -B build-ci-nosimd -S . -DCMAKE_BUILD_TYPE=Release \
         -DFM_SIMD=OFF > /dev/null
   cmake --build build-ci-nosimd -j "$JOBS"
   ctest --test-dir build-ci-nosimd --output-on-failure -j "$JOBS"
   echo "[ci] -DFM_SIMD=OFF build passed tier-1"
 
-  mkdir -p bench_results
-  FM_REF_SIZE=2000 FM_NUM_INPUTS=150 FM_METRICS_DIR=bench_results \
-    build-ci-release/bench/bench_lookup_path
-  python3 - bench_results/bench_lookup_path.metrics.json <<'PYEOF'
-import json, sys
-metrics = json.load(open(sys.argv[1]))
-names = set(metrics["counters"]) | set(metrics["gauges"]) \
-        | set(metrics["histograms"])
-for want in ("lookup_path.scalar.probe_p50_ns",
-             "lookup_path.simd.probe_p50_ns",
-             "lookup_path.learned.probe_p50_ns",
-             "lookup_path.simd_vs_scalar_heavy_p50_reduction_pct",
-             "lookup.probes_batched", "lookup.model_hits"):
-    assert want in names, f"lookup metrics archive missing {want}"
-print("[ci] lookup-path metrics archived: "
-      "bench_results/bench_lookup_path.metrics.json")
-PYEOF
+  local tmp
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' RETURN
+  local cli=build-ci-release/tools/fuzzymatch_cli
+  "$cli" gen --out "$tmp/ref.csv" --rows 2000 --seed 42
+  "$cli" corrupt --ref "$tmp/ref.csv" --out "$tmp/dirty.csv" --inputs 200
+  for build in release nosimd; do
+    "build-ci-$build/tools/fuzzymatch_cli" match --ref "$tmp/ref.csv" \
+          --input "$tmp/dirty.csv" --out "$tmp/out.$build.csv" --tokens
+    "build-ci-$build/tools/fuzzymatch_cli" match --ref "$tmp/ref.csv" \
+          --input "$tmp/dirty.csv" --out "$tmp/out.$build.s4.csv" --tokens \
+          --bound-policy conservative --shards 4
+  done
+  cmp "$tmp/out.release.csv" "$tmp/out.nosimd.csv"
+  cmp "$tmp/out.release.s4.csv" "$tmp/out.nosimd.s4.csv"
+  echo "[ci] match output byte-identical with SIMD and scalar decode (1 and 4 shards)"
 }
 
 case "$STAGE" in

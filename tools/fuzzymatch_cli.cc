@@ -26,8 +26,7 @@
 //                          [--threads N] [--build-threads N]
 //                          [--temp-dir DIR] [--metrics [FILE]]
 //                          [--accel-budget-mb MB] [--tuple-cache-mb MB]
-//                          [--lookup-path scalar|simd|learned]
-//                          [--verbose]
+//                          [--shards N] [--bound-policy P] [--verbose]
 //       Builds an Error Tolerant Index over the reference CSV and batch-
 //       cleans the input CSV. The output repeats each input row and
 //       appends: outcome (validated/corrected/routed), similarity, and
@@ -36,8 +35,7 @@
 //       and output row order are identical to the serial run.
 //
 //       --shards N serves the batch through the scatter/gather tier
-//       (N per-shard engines, top-K merge) instead of one engine;
-//       --replicas-per-shard R fans shard reads over R replica engines.
+//       (N per-shard engines, top-K merge) instead of one engine.
 //       Under --bound-policy conservative the sharded output is byte-
 //       identical to the single-engine run, which the CI shardcheck
 //       stage verifies with cmp(1).
@@ -56,6 +54,9 @@
 //       trace's counters. --json dumps the raw tracez response instead,
 //       for piping into other tooling.
 //
+// Every command rejects a flag it does not read: an unknown or
+// misspelled flag exits non-zero, naming the flag, before any work runs.
+//
 // CSV convention: first record is the header; empty fields are NULL.
 
 #include <algorithm>
@@ -63,6 +64,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "common/csv.h"
@@ -84,13 +86,14 @@ using namespace fuzzymatch;
 namespace {
 
 /// Tiny --flag[=value] parser: flags with values must use --flag value.
+/// Remembers which flags were asked for, so a command can reject the
+/// ones it never read.
 class Args {
  public:
   Args(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
-        ordered_.push_back(key);
         continue;
       }
       key = key.substr(2);
@@ -102,28 +105,43 @@ class Args {
     }
   }
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const { return Find(key) != nullptr; }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* v = Find(key);
+    return v == nullptr ? fallback : *v;
   }
 
   int64_t GetInt(const std::string& key, int64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtoll(it->second.c_str(), nullptr, 10);
+    const std::string* v = Find(key);
+    return v == nullptr ? fallback : std::strtoll(v->c_str(), nullptr, 10);
   }
 
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    const std::string* v = Find(key);
+    return v == nullptr ? fallback : std::strtod(v->c_str(), nullptr);
+  }
+
+  /// InvalidArgument naming the first flag given but never read. Call
+  /// once the command has read every flag it takes.
+  Status RejectUnread() const {
+    for (const auto& entry : values_) {
+      if (read_.count(entry.first) == 0) {
+        return Status::InvalidArgument("unknown flag --" + entry.first);
+      }
+    }
+    return Status::OK();
   }
 
  private:
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
   std::map<std::string, std::string> values_;
-  std::vector<std::string> ordered_;
+  mutable std::set<std::string> read_;
 };
 
 Row FieldsToRow(const std::vector<std::string>& fields) {
@@ -186,6 +204,7 @@ Status CmdGen(const Args& args) {
   CustomerGenOptions options;
   options.num_tuples = static_cast<size_t>(args.GetInt("rows", 100000));
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  FM_RETURN_IF_ERROR(args.RejectUnread());
   CustomerGenerator generator(options);
 
   std::ofstream out(out_path);
@@ -208,26 +227,27 @@ Status CmdCorrupt(const Args& args) {
   if (ref_path.empty() || out_path.empty()) {
     return Status::InvalidArgument("corrupt requires --ref and --out");
   }
-  FM_ASSIGN_OR_RETURN(auto db, Database::Open(DatabaseOptions{
-                                   .path = "", .pool_pages = 64 * 1024}));
-  FM_ASSIGN_OR_RETURN(Table * ref,
-                      LoadCsvTable(db.get(), "ref", ref_path));
-
   const std::string profile = args.Get("profile", "D2");
   DatasetSpec spec = profile == "D1"   ? DatasetD1()
                      : profile == "D3" ? DatasetD3()
                                        : DatasetD2();
+  spec.num_inputs = static_cast<size_t>(args.GetInt("inputs", 1000));
+  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
+  const bool with_seeds = args.Has("seeds");
+  FM_RETURN_IF_ERROR(args.RejectUnread());
+
+  FM_ASSIGN_OR_RETURN(auto db, Database::Open(DatabaseOptions{
+                                   .path = "", .pool_pages = 64 * 1024}));
+  FM_ASSIGN_OR_RETURN(Table * ref,
+                      LoadCsvTable(db.get(), "ref", ref_path));
   if (spec.column_error_prob.size() != ref->schema().num_columns()) {
     // Non-customer schemas get a uniform error profile.
     spec.column_error_prob.assign(ref->schema().num_columns(), 0.5);
     spec.column_error_prob[0] = 0.8;
   }
-  spec.num_inputs = static_cast<size_t>(args.GetInt("inputs", 1000));
-  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
   FM_ASSIGN_OR_RETURN(const std::vector<InputTuple> inputs,
                       GenerateInputs(ref, spec, nullptr));
 
-  const bool with_seeds = args.Has("seeds");
   std::ofstream out(out_path);
   if (!out) {
     return Status::IOError("cannot write " + out_path);
@@ -269,13 +289,6 @@ Status ApplyBoundPolicy(const Args& args, FuzzyMatchConfig* config) {
   return Status::OK();
 }
 
-Status ApplyLookupPath(const Args& args, FuzzyMatchConfig* config) {
-  const std::string name =
-      args.Get("lookup-path", LookupPathName(config->lookup_path));
-  FM_ASSIGN_OR_RETURN(config->lookup_path, ParseLookupPath(name));
-  return Status::OK();
-}
-
 Status CmdBuild(const Args& args) {
   const std::string ref_path = args.Get("ref", "");
   const std::string db_path = args.Get("db", "");
@@ -284,6 +297,16 @@ Status CmdBuild(const Args& args) {
   }
   const size_t shards =
       static_cast<size_t>(std::max<int64_t>(1, args.GetInt("shards", 1)));
+  FuzzyMatchConfig config;
+  config.eti.q = static_cast<int>(args.GetInt("q", 4));
+  config.eti.signature_size = static_cast<int>(args.GetInt("h", 3));
+  config.eti.index_tokens = args.Has("tokens");
+  config.build_threads = static_cast<int>(args.GetInt("build-threads", 1));
+  config.temp_dir = args.Get("temp-dir", "");
+  config.sort_memory_bytes =
+      static_cast<size_t>(args.GetInt("sort-budget-kb", 64 * 1024)) << 10;
+  FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
+  FM_RETURN_IF_ERROR(args.RejectUnread());
   if (shards > 1) {
     // Sharded build: the reference CSV is staged in memory, hash-
     // partitioned by tid, and persisted as one database per shard at
@@ -293,14 +316,6 @@ Status CmdBuild(const Args& args) {
                             .path = "", .pool_pages = 64 * 1024}));
     FM_ASSIGN_OR_RETURN(Table * ref,
                         LoadCsvTable(staging.get(), "ref", ref_path));
-    FuzzyMatchConfig config;
-    config.eti.q = static_cast<int>(args.GetInt("q", 4));
-    config.eti.signature_size = static_cast<int>(args.GetInt("h", 3));
-    config.eti.index_tokens = args.Has("tokens");
-    config.build_threads =
-        static_cast<int>(args.GetInt("build-threads", 1));
-    config.temp_dir = args.Get("temp-dir", "");
-    FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
     shard::ShardRouter::Options options;
     options.num_shards = shards;
     options.db_path_base = db_path;
@@ -327,14 +342,10 @@ Status CmdBuild(const Args& args) {
                       LoadCsvTable(db.get(), "ref", ref_path));
 
   EtiBuilder::Options options;
-  options.params.q = static_cast<int>(args.GetInt("q", 4));
-  options.params.signature_size = static_cast<int>(args.GetInt("h", 3));
-  options.params.index_tokens = args.Has("tokens");
-  options.build_threads =
-      static_cast<int>(args.GetInt("build-threads", 1));
-  options.temp_dir = args.Get("temp-dir", "");
-  options.sort_memory_bytes =
-      static_cast<size_t>(args.GetInt("sort-budget-kb", 64 * 1024)) << 10;
+  options.params = config.eti;
+  options.build_threads = config.build_threads;
+  options.temp_dir = config.temp_dir;
+  options.sort_memory_bytes = config.sort_memory_bytes;
   FM_ASSIGN_OR_RETURN(const BuiltEti built,
                       EtiBuilder::Build(db.get(), ref, options));
   FM_RETURN_IF_ERROR(db->Checkpoint());
@@ -364,14 +375,6 @@ Status CmdMatch(const Args& args) {
         "match requires --ref, --input and --out");
   }
 
-  FM_ASSIGN_OR_RETURN(auto db, Database::Open(DatabaseOptions{
-                                   .path = "", .pool_pages = 64 * 1024}));
-  FM_ASSIGN_OR_RETURN(Table * ref,
-                      LoadCsvTable(db.get(), "ref", ref_path));
-  std::printf("loaded %llu reference tuples from %s\n",
-              static_cast<unsigned long long>(ref->row_count()),
-              ref_path.c_str());
-
   FuzzyMatchConfig config;
   config.eti.q = static_cast<int>(args.GetInt("q", 4));
   config.eti.signature_size = static_cast<int>(args.GetInt("h", 3));
@@ -392,13 +395,27 @@ Status CmdMatch(const Args& args) {
           static_cast<int64_t>(config.matcher.tuple_cache_bytes >> 20)))
       << 20;
   FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
-  FM_RETURN_IF_ERROR(ApplyLookupPath(args, &config));
+  const size_t shards =
+      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("shards", 1)));
+  BatchCleaner::Options clean_options;
+  clean_options.load_threshold = args.GetDouble("load-threshold", 0.8);
+  const size_t threads =
+      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("threads", 1)));
+  const bool dump_metrics = args.Has("metrics");
+  const std::string metrics_path = args.Get("metrics", "");
+  FM_RETURN_IF_ERROR(args.RejectUnread());
+
+  FM_ASSIGN_OR_RETURN(auto db, Database::Open(DatabaseOptions{
+                                   .path = "", .pool_pages = 64 * 1024}));
+  FM_ASSIGN_OR_RETURN(Table * ref,
+                      LoadCsvTable(db.get(), "ref", ref_path));
+  std::printf("loaded %llu reference tuples from %s\n",
+              static_cast<unsigned long long>(ref->row_count()),
+              ref_path.c_str());
 
   // Either one engine over the whole relation, or a scatter/gather tier
   // of per-shard engines behind the same MatchSource interface; the
   // output CSV format is identical either way.
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("shards", 1)));
   std::unique_ptr<FuzzyMatcher> matcher;
   std::unique_ptr<shard::ShardRouter> router;
   std::unique_ptr<shard::ShardedMatcher> sharded;
@@ -408,19 +425,14 @@ Status CmdMatch(const Args& args) {
     router_options.num_shards = shards;
     FM_ASSIGN_OR_RETURN(router,
                         shard::ShardRouter::Build(ref, config, router_options));
-    shard::ShardedMatcher::Options sharded_options;
-    sharded_options.replicas_per_shard = static_cast<size_t>(
-        std::max<int64_t>(1, args.GetInt("replicas-per-shard", 1)));
-    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(
-                                     router.get(), sharded_options));
+    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(router.get()));
     source = sharded.get();
     double build_seconds = 0.0;
     for (size_t k = 0; k < shards; ++k) {
       build_seconds += router->shard(k).build_stats().total_seconds;
     }
-    std::printf("built %zu shard ETIs (%s) in %.2fs, %zu replica(s) each\n",
-                shards, config.eti.StrategyName().c_str(), build_seconds,
-                sharded->replicas_per_shard());
+    std::printf("built %zu shard ETIs (%s) in %.2fs\n", shards,
+                config.eti.StrategyName().c_str(), build_seconds);
   } else {
     FM_ASSIGN_OR_RETURN(matcher,
                         FuzzyMatcher::Build(db.get(), "ref", config));
@@ -474,11 +486,7 @@ Status CmdMatch(const Args& args) {
   }
   writer.Write(header);
 
-  BatchCleaner::Options clean_options;
-  clean_options.load_threshold = args.GetDouble("load-threshold", 0.8);
   const BatchCleaner cleaner(source, clean_options);
-  const size_t threads =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("threads", 1)));
   FM_ASSIGN_OR_RETURN(
       const CleanStats stats,
       cleaner.CleanBatchParallel(
@@ -524,9 +532,8 @@ Status CmdMatch(const Args& args) {
       static_cast<unsigned long long>(stats.corrected),
       static_cast<unsigned long long>(stats.routed), out_path.c_str());
 
-  if (args.Has("metrics")) {
+  if (dump_metrics) {
     const std::string text = obs::MetricsRegistry::Global().RenderText();
-    const std::string metrics_path = args.Get("metrics", "");
     if (metrics_path.empty()) {
       std::fputs(text.c_str(), stdout);
     } else {
@@ -563,16 +570,18 @@ Status CmdTrace(const Args& args) {
   if (!args.Has("port")) {
     return Status::InvalidArgument("trace requires --port");
   }
-  server::LineClient client;
-  FM_RETURN_IF_ERROR(client.Connect(
-      args.Get("host", "127.0.0.1"),
-      static_cast<uint16_t>(args.GetInt("port", 0))));
+  const std::string host = args.Get("host", "127.0.0.1");
+  const auto port = static_cast<uint16_t>(args.GetInt("port", 0));
   const int64_t limit = std::max<int64_t>(1, args.GetInt("limit", 16));
+  const bool json = args.Has("json");
+  FM_RETURN_IF_ERROR(args.RejectUnread());
+  server::LineClient client;
+  FM_RETURN_IF_ERROR(client.Connect(host, port));
   FM_ASSIGN_OR_RETURN(
       const std::string raw,
       client.Roundtrip(StringPrintf("tracez %lld",
                                     static_cast<long long>(limit))));
-  if (args.Has("json")) {
+  if (json) {
     std::printf("%s\n", raw.c_str());
     return Status::OK();
   }
@@ -661,9 +670,8 @@ void PrintUsage() {
       "          [--load-threshold C] [--threads N] [--build-threads N]\n"
       "          [--temp-dir DIR] [--metrics [FILE]]\n"
       "          [--accel-budget-mb MB] [--tuple-cache-mb MB]\n"
-      "          [--shards N] [--replicas-per-shard R]\n"
+      "          [--shards N]\n"
       "          [--bound-policy aggressive|tight|conservative]\n"
-      "          [--lookup-path scalar|simd|learned]\n"
       "          [--verbose]\n"
       "  trace   --port P [--host A] [--limit N] [--json]\n");
 }

@@ -6,7 +6,7 @@
 //                     [--q N] [--h N] [--tokens] [--k N] [--threshold C]
 //                     [--load-threshold C]
 //                     [--accel-budget-mb MB] [--tuple-cache-mb MB]
-//                     [--lookup-path scalar|simd|learned]
+//                     [--shards N]
 //                     [--db PATH] [--wal-fsync always|group|never]
 //                     [--verbose]
 //
@@ -24,6 +24,9 @@
 // restart with the same --db reattaches to the persisted ETI instead of
 // rebuilding it. The default remains an in-memory store.
 //
+// A flag the server does not read fails startup with a diagnostic that
+// names it, before any data loads.
+//
 // Try it with netcat:
 //
 //   $ fuzzymatch_server --ref ref.csv --port 7878 &
@@ -37,6 +40,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 
 #include <unistd.h>
@@ -60,6 +64,8 @@ using namespace fuzzymatch;
 namespace {
 
 /// Tiny --flag[=value] parser: flags with values must use --flag value.
+/// Remembers which flags were asked for, so startup can reject the ones
+/// it never read.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -77,49 +83,65 @@ class Args {
     }
   }
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const { return Find(key) != nullptr; }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* v = Find(key);
+    return v == nullptr ? fallback : *v;
   }
 
   /// Strict numeric flags: a present-but-malformed value is a startup
   /// error with a one-line diagnostic, never a silent zero.
   Result<int64_t> GetInt(const std::string& key, int64_t fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
+    const std::string* v = Find(key);
+    if (v == nullptr) {
       return fallback;
     }
     errno = 0;
     char* end = nullptr;
-    const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-    if (it->second.empty() || end == nullptr || *end != '\0' || errno != 0) {
-      return Status::InvalidArgument(
-          StringPrintf("--%s: '%s' is not an integer", key.c_str(),
-                       it->second.c_str()));
+    const int64_t n = std::strtoll(v->c_str(), &end, 10);
+    if (v->empty() || end == nullptr || *end != '\0' || errno != 0) {
+      return Status::InvalidArgument(StringPrintf(
+          "--%s: '%s' is not an integer", key.c_str(), v->c_str()));
     }
-    return v;
+    return n;
   }
 
   Result<double> GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
+    const std::string* v = Find(key);
+    if (v == nullptr) {
       return fallback;
     }
     errno = 0;
     char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (it->second.empty() || end == nullptr || *end != '\0' || errno != 0) {
-      return Status::InvalidArgument(
-          StringPrintf("--%s: '%s' is not a number", key.c_str(),
-                       it->second.c_str()));
+    const double d = std::strtod(v->c_str(), &end);
+    if (v->empty() || end == nullptr || *end != '\0' || errno != 0) {
+      return Status::InvalidArgument(StringPrintf(
+          "--%s: '%s' is not a number", key.c_str(), v->c_str()));
     }
-    return v;
+    return d;
+  }
+
+  /// InvalidArgument naming the first flag given but never read. Call
+  /// once startup has read every flag it takes.
+  Status RejectUnread() const {
+    for (const auto& entry : values_) {
+      if (read_.count(entry.first) == 0) {
+        return Status::InvalidArgument("unknown flag --" + entry.first);
+      }
+    }
+    return Status::OK();
   }
 
  private:
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 /// GetInt plus a range check, for flags where out-of-range values would
@@ -229,10 +251,6 @@ Status Run(const Args& args) {
       const int64_t build_threads,
       GetIntInRange(args, "build-threads", 1, 0, 256));
   config.build_threads = static_cast<int>(build_threads);
-  FM_ASSIGN_OR_RETURN(
-      config.lookup_path,
-      ParseLookupPath(
-          args.Get("lookup-path", LookupPathName(config.lookup_path))));
 
   BatchCleaner::Options clean_options;
   FM_ASSIGN_OR_RETURN(clean_options.load_threshold,
@@ -273,15 +291,13 @@ Status Run(const Args& args) {
 
   FM_ASSIGN_OR_RETURN(
       const int64_t shards, GetIntInRange(args, "shards", 1, 1, 1024));
-  FM_ASSIGN_OR_RETURN(
-      const int64_t replicas,
-      GetIntInRange(args, "replicas-per-shard", 1, 1, 64));
 
   DatabaseOptions db_options;
   db_options.path = args.Get("db", "");
   db_options.pool_pages = 64 * 1024;
   FM_ASSIGN_OR_RETURN(db_options.wal_fsync,
                       ParseWalFsyncMode(args.Get("wal-fsync", "group")));
+  FM_RETURN_IF_ERROR(args.RejectUnread());
   FM_ASSIGN_OR_RETURN(auto db, Database::Open(db_options));
 
   // A file-backed store that already holds the reference relation (a
@@ -316,10 +332,7 @@ Status Run(const Args& args) {
     router_options.num_shards = static_cast<size_t>(shards);
     FM_ASSIGN_OR_RETURN(router,
                         shard::ShardRouter::Build(ref, config, router_options));
-    shard::ShardedMatcher::Options sharded_options;
-    sharded_options.replicas_per_shard = static_cast<size_t>(replicas);
-    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(
-                                     router.get(), sharded_options));
+    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(router.get()));
     for (size_t k = 0; k < router->num_shards(); ++k) {
       FM_SLOG(Info, "server.shard_built")
           .Field("shard", static_cast<uint64_t>(k))
@@ -414,8 +427,7 @@ void PrintUsage() {
       "         [--workers N] [--queue N] [--max-conns N]\n"
       "         [--idle-timeout-ms N] [--q N] [--h N] [--tokens] [--k N]\n"
       "         [--threshold C] [--load-threshold C] [--build-threads N]\n"
-      "         [--accel-budget-mb MB] [--tuple-cache-mb MB]\n"
-      "         [--lookup-path scalar|simd|learned]\n"
+      "         [--accel-budget-mb MB] [--tuple-cache-mb MB] [--shards N]\n"
       "         [--db PATH] [--wal-fsync always|group|never]\n"
       "         [--slow-trace-ms N] [--recorder-capacity N] [--no-trace]\n"
       "         [--verbose]\n"
