@@ -113,7 +113,7 @@ Status Run() {
     FM_ASSIGN_OR_RETURN(const std::vector<InputTuple> inputs,
                         GenerateInputs(ref, spec, &matcher->weights()));
     FM_ASSIGN_OR_RETURN(const EvalResult result, Evaluate(*matcher, inputs));
-    const AggregateStats& s = result.stats;
+    const MatchTotals& s = result.stats;
     const double q = static_cast<double>(s.queries);
     PrintRow({variant.label,
               StringPrintf("%.1f%%", 100 * result.accuracy),

@@ -31,7 +31,7 @@ Status Run() {
         const std::vector<InputTuple> inputs,
         GenerateInputs(env.customers, spec, &matcher->weights()));
     FM_ASSIGN_OR_RETURN(const EvalResult result, Evaluate(*matcher, inputs));
-    const AggregateStats& s = result.stats;
+    const MatchTotals& s = result.stats;
     const double ok_queries = static_cast<double>(s.osc_succeeded);
     // Only queries where the fetching test fired and the stopping test
     // then refuted the optimistic result; queries that never attempted

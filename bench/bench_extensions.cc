@@ -140,6 +140,7 @@ Status Run() {
       options.k = k;
       const EtiMatcher m(env.customers, &shared->eti(),
                          &shared->weights(), options);
+      const MatchTotals before = MatchTotals::Read();
       size_t hit = 0;
       for (const InputTuple& input : inputs) {
         FM_ASSIGN_OR_RETURN(const std::vector<Match> matches,
@@ -151,7 +152,7 @@ Status Run() {
           }
         }
       }
-      const AggregateStats& s = m.aggregate_stats();
+      const MatchTotals s = MatchTotals::Read() - before;
       PrintRow({StringPrintf("  %zu", k),
                 StringPrintf("%.1f%%",
                              100.0 * hit / static_cast<double>(

@@ -27,7 +27,7 @@ Status Run() {
         const std::vector<InputTuple> inputs,
         GenerateInputs(env.customers, spec, &matcher->weights()));
     FM_ASSIGN_OR_RETURN(const EvalResult result, Evaluate(*matcher, inputs));
-    const AggregateStats& s = result.stats;
+    const MatchTotals& s = result.stats;
     const double q = static_cast<double>(s.queries);
     PrintRow({params.StrategyName(),
               StringPrintf("%.2f", s.osc_succeeded / q),

@@ -51,7 +51,7 @@ Status Run() {
         GenerateInputs(env.customers, spec, &matcher->weights()));
     FM_ASSIGN_OR_RETURN(const EvalResult result, Evaluate(*matcher, inputs));
     const EtiBuildStats& b = matcher->build_stats();
-    const AggregateStats& s = result.stats;
+    const MatchTotals& s = result.stats;
     PrintRow({params.StrategyName(),
               StringPrintf("%llu",
                            static_cast<unsigned long long>(b.pre_eti_rows)),

@@ -41,13 +41,14 @@ Status Run() {
     spec.num_inputs = num_inputs;
     FM_ASSIGN_OR_RETURN(const std::vector<InputTuple> inputs,
                         GenerateInputs(ref, spec, &matcher->weights()));
+    const MatchTotals before = MatchTotals::Read();
     size_t correct = 0;
     for (const InputTuple& input : inputs) {
       FM_ASSIGN_OR_RETURN(const std::vector<Match> matches,
                           matcher->FindMatches(input.dirty));
       correct += (!matches.empty() && matches[0].tid == input.seed_tid);
     }
-    const AggregateStats& s = matcher->aggregate_stats();
+    const MatchTotals s = MatchTotals::Read() - before;
     PrintRow({StringPrintf("%zu", ref_size),
               StringPrintf("%.2f", matcher->build_stats().total_seconds),
               StringPrintf("%llu",

@@ -116,9 +116,51 @@ Result<std::unique_ptr<FuzzyMatcher>> BuildStrategy(
   return FuzzyMatcher::Build(env.db.get(), "customers", config);
 }
 
+MatchTotals MatchTotals::Read() {
+  auto& reg = obs::MetricsRegistry::Global();
+  auto counter = [&reg](const char* name) {
+    return reg.GetCounter(name)->value();
+  };
+  MatchTotals t;
+  t.queries = counter("match.queries");
+  t.eti_lookups = counter("match.eti_lookups");
+  t.tids_processed = counter("match.tids_processed");
+  t.hash_table_size = counter("match.hash_table_size");
+  t.ref_tuples_fetched = counter("match.ref_tuples_fetched");
+  t.osc_attempted = counter("match.osc_attempted");
+  t.osc_succeeded = counter("match.osc_succeeded");
+  t.fetched_when_osc_succeeded = counter("match.fetched_when_osc_succeeded");
+  t.fetched_when_osc_failed = counter("match.fetched_when_osc_failed");
+  t.fetched_when_osc_not_attempted =
+      counter("match.fetched_when_osc_not_attempted");
+  t.elapsed_seconds =
+      reg.GetHistogram("match.query_seconds", obs::LatencyHistogramOptions())
+          ->sum();
+  return t;
+}
+
+MatchTotals MatchTotals::operator-(const MatchTotals& before) const {
+  MatchTotals d;
+  d.queries = queries - before.queries;
+  d.eti_lookups = eti_lookups - before.eti_lookups;
+  d.tids_processed = tids_processed - before.tids_processed;
+  d.hash_table_size = hash_table_size - before.hash_table_size;
+  d.ref_tuples_fetched = ref_tuples_fetched - before.ref_tuples_fetched;
+  d.osc_attempted = osc_attempted - before.osc_attempted;
+  d.osc_succeeded = osc_succeeded - before.osc_succeeded;
+  d.fetched_when_osc_succeeded =
+      fetched_when_osc_succeeded - before.fetched_when_osc_succeeded;
+  d.fetched_when_osc_failed =
+      fetched_when_osc_failed - before.fetched_when_osc_failed;
+  d.fetched_when_osc_not_attempted =
+      fetched_when_osc_not_attempted - before.fetched_when_osc_not_attempted;
+  d.elapsed_seconds = elapsed_seconds - before.elapsed_seconds;
+  return d;
+}
+
 Result<EvalResult> Evaluate(FuzzyMatcher& matcher,
                             const std::vector<InputTuple>& inputs) {
-  matcher.ResetAggregateStats();
+  const MatchTotals before = MatchTotals::Read();
   size_t correct = 0;
   for (const InputTuple& input : inputs) {
     FM_ASSIGN_OR_RETURN(const std::vector<Match> matches,
@@ -134,7 +176,7 @@ Result<EvalResult> Evaluate(FuzzyMatcher& matcher,
   result.accuracy = inputs.empty() ? 0.0
                                    : static_cast<double>(correct) /
                                          static_cast<double>(inputs.size());
-  result.stats = matcher.aggregate_stats();
+  result.stats = MatchTotals::Read() - before;
   return result;
 }
 

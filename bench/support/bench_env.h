@@ -65,13 +65,33 @@ Result<std::unique_ptr<FuzzyMatcher>> BuildStrategy(
     BenchEnv& env, const EtiParams& params,
     const MatcherOptions& matcher_options = {});
 
+/// Query totals read from the process-wide registry — the `match.*`
+/// counters and the `match.query_seconds` histogram's sum. Read() before
+/// and after a serial query loop; the difference is that loop's totals.
+struct MatchTotals {
+  uint64_t queries = 0;
+  uint64_t eti_lookups = 0;
+  uint64_t tids_processed = 0;
+  uint64_t hash_table_size = 0;
+  uint64_t ref_tuples_fetched = 0;
+  uint64_t osc_attempted = 0;
+  uint64_t osc_succeeded = 0;
+  uint64_t fetched_when_osc_succeeded = 0;
+  uint64_t fetched_when_osc_failed = 0;
+  uint64_t fetched_when_osc_not_attempted = 0;
+  double elapsed_seconds = 0.0;
+
+  static MatchTotals Read();
+  MatchTotals operator-(const MatchTotals& before) const;
+};
+
 /// Outcome of running one input dataset through one matcher.
 struct EvalResult {
   double accuracy = 0.0;       // seed recovered as (one of) the closest
-  AggregateStats stats;        // totals over the dataset's queries
+  MatchTotals stats;           // totals over the dataset's queries
 };
 
-/// Runs every input through the matcher (resets aggregate stats first).
+/// Runs every input through the matcher, serially.
 Result<EvalResult> Evaluate(FuzzyMatcher& matcher,
                             const std::vector<InputTuple>& inputs);
 

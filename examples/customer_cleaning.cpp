@@ -15,6 +15,7 @@
 #include "core/fuzzy_match.h"
 #include "gen/customer_gen.h"
 #include "gen/dataset.h"
+#include "obs/metrics.h"
 
 using namespace fuzzymatch;
 
@@ -89,7 +90,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  const AggregateStats& stats = matcher->aggregate_stats();
+  // Totals come from the process-wide metrics registry, where every
+  // query records its counters.
+  auto& reg = obs::MetricsRegistry::Global();
+  const obs::Histogram* latency = reg.GetHistogram(
+      "match.query_seconds", obs::LatencyHistogramOptions());
+  const double queries = static_cast<double>(latency->count());
+  auto per_query = [&](const char* counter) {
+    return static_cast<double>(reg.GetCounter(counter)->value()) / queries;
+  };
   std::printf("Processed %zu incoming records at threshold %.2f:\n",
               inputs->size(), kLoadThreshold);
   std::printf("  validated (exact)      : %zu\n", validated);
@@ -99,14 +108,14 @@ int main(int argc, char** argv) {
   std::printf("  routed for cleaning    : %zu\n", routed);
   std::printf("\nPer-record work (averages):\n");
   std::printf("  ETI lookups            : %.1f\n",
-              static_cast<double>(stats.eti_lookups) / stats.queries);
+              per_query("match.eti_lookups"));
   std::printf("  tids scored            : %.1f\n",
-              static_cast<double>(stats.tids_processed) / stats.queries);
+              per_query("match.tids_processed"));
   std::printf("  reference fetches      : %.2f\n",
-              static_cast<double>(stats.ref_tuples_fetched) / stats.queries);
+              per_query("match.ref_tuples_fetched"));
   std::printf("  OSC success fraction   : %.2f\n",
-              static_cast<double>(stats.osc_succeeded) / stats.queries);
+              per_query("match.osc_succeeded"));
   std::printf("  latency                : %.2f ms\n",
-              1e3 * stats.elapsed_seconds / stats.queries);
+              1e3 * latency->sum() / queries);
   return 0;
 }

@@ -13,6 +13,7 @@
 #include "core/fuzzy_match.h"
 #include "common/string_util.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 
 using namespace fuzzymatch;
 
@@ -118,11 +119,16 @@ int main() {
          }),
          matcher);
 
-  const AggregateStats& stats = matcher.aggregate_stats();
+  // Every query records its counters in the process-wide registry.
+  auto& reg = obs::MetricsRegistry::Global();
+  const uint64_t queries = reg.GetCounter("match.queries")->value();
   std::printf("\n%llu queries, %.2f reference fetches per query, OSC "
               "succeeded on %llu\n",
-              static_cast<unsigned long long>(stats.queries),
-              static_cast<double>(stats.ref_tuples_fetched) / stats.queries,
-              static_cast<unsigned long long>(stats.osc_succeeded));
+              static_cast<unsigned long long>(queries),
+              static_cast<double>(
+                  reg.GetCounter("match.ref_tuples_fetched")->value()) /
+                  static_cast<double>(queries),
+              static_cast<unsigned long long>(
+                  reg.GetCounter("match.osc_succeeded")->value()));
   return 0;
 }

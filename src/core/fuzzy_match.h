@@ -67,8 +67,8 @@ struct EtiRebuildStats {
 ///
 /// Thread safety: after Build()/Open() returns, FindMatches and
 /// GetReferenceTuple may be called from any number of threads (the
-/// storage read path is latched and the matcher's aggregate stats are
-/// internally synchronized). InsertReferenceTuple/RemoveReferenceTuple
+/// storage read path is latched and query counters are registry
+/// atomics). InsertReferenceTuple/RemoveReferenceTuple
 /// serialize against each other and against RebuildEti internally, but
 /// remain writers: do not run them concurrently with queries. RebuildEti
 /// itself is safe to run while queries are being served.
@@ -147,9 +147,9 @@ class FuzzyMatcher : public MatchSource {
   void OverrideWeights(IdfWeights weights);
 
   /// A fresh query engine over this matcher's reference table, ETI and
-  /// weights — its own tuple cache and stats, shared (read-only) index.
-  /// Replica handles of the sharded read fan-out are built from these.
-  /// The matcher must outlive the returned engine.
+  /// weights — its own tuple cache, shared (read-only) index. Each shard
+  /// of a ShardedMatcher queries through one of these. The matcher must
+  /// outlive the returned engine.
   std::unique_ptr<EtiMatcher> NewQueryEngine() const {
     return std::make_unique<EtiMatcher>(ref_, eti_.get(), weights_.get(),
                                         config_.matcher);
@@ -161,11 +161,6 @@ class FuzzyMatcher : public MatchSource {
   const EtiMatcher& eti_matcher() const { return *matcher_; }
   const IdfWeights& weights() const { return *weights_; }
   const EtiBuildStats& build_stats() const { return build_stats_; }
-  /// Snapshot by value — the accumulator is shared across threads.
-  AggregateStats aggregate_stats() const {
-    return matcher_->aggregate_stats();
-  }
-  void ResetAggregateStats() { matcher_->ResetAggregateStats(); }
   const FuzzyMatchConfig& config() const { return config_; }
 
  private:

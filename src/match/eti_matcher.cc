@@ -21,6 +21,76 @@ obs::Counter& ProbesBatchedCounter() {
   return *c;
 }
 
+/// The process-wide account of finished queries, resolved once.
+struct MatchMetrics {
+  obs::Counter* queries;
+  obs::Counter* eti_lookups;
+  obs::Counter* tids_processed;
+  obs::Counter* hash_table_size;
+  obs::Counter* candidates;
+  obs::Counter* ref_tuples_fetched;
+  obs::Counter* osc_attempted;
+  obs::Counter* osc_succeeded;
+  obs::Counter* fetched_osc_succeeded;
+  obs::Counter* fetched_osc_failed;
+  obs::Counter* fetched_osc_not_attempted;
+  obs::Histogram* query_seconds;
+
+  static const MatchMetrics& Get() {
+    static const MatchMetrics m = [] {
+      auto& reg = obs::MetricsRegistry::Global();
+      MatchMetrics r;
+      r.queries = reg.GetCounter("match.queries");
+      r.eti_lookups = reg.GetCounter("match.eti_lookups");
+      r.tids_processed = reg.GetCounter("match.tids_processed");
+      r.hash_table_size = reg.GetCounter("match.hash_table_size");
+      r.candidates = reg.GetCounter("match.candidates");
+      r.ref_tuples_fetched = reg.GetCounter("match.ref_tuples_fetched");
+      r.osc_attempted = reg.GetCounter("match.osc_attempted");
+      r.osc_succeeded = reg.GetCounter("match.osc_succeeded");
+      r.fetched_osc_succeeded =
+          reg.GetCounter("match.fetched_when_osc_succeeded");
+      r.fetched_osc_failed = reg.GetCounter("match.fetched_when_osc_failed");
+      r.fetched_osc_not_attempted =
+          reg.GetCounter("match.fetched_when_osc_not_attempted");
+      r.query_seconds = reg.GetHistogram("match.query_seconds",
+                                         obs::LatencyHistogramOptions());
+      return r;
+    }();
+    return m;
+  }
+};
+
+/// Records one finished query. Fetch counts are split by OSC outcome
+/// (Figure 8's bars): succeeded, attempted-but-failed, and queries where
+/// the fetching test never fired (counting those as "failed" would skew
+/// the Figure 8 split).
+void RecordQuery(const QueryStats& q) {
+  const MatchMetrics& m = MatchMetrics::Get();
+  m.queries->Increment();
+  m.eti_lookups->Increment(q.eti_lookups);
+  m.tids_processed->Increment(q.tids_processed);
+  m.hash_table_size->Increment(q.hash_table_size);
+  m.candidates->Increment(q.candidates);
+  m.ref_tuples_fetched->Increment(q.ref_tuples_fetched);
+  if (q.osc_attempted) {
+    m.osc_attempted->Increment();
+  }
+  if (q.osc_succeeded) {
+    m.osc_succeeded->Increment();
+    m.fetched_osc_succeeded->Increment(q.ref_tuples_fetched);
+  } else if (q.osc_attempted) {
+    m.fetched_osc_failed->Increment(q.ref_tuples_fetched);
+  } else {
+    m.fetched_osc_not_attempted->Increment(q.ref_tuples_fetched);
+  }
+  m.query_seconds->Observe(q.elapsed_seconds);
+}
+
+/// Shard count of every matcher's tuple cache: enough that concurrent
+/// queries rarely meet on one shard's lock.
+constexpr size_t kTupleCacheShards = 8;
+
 /// How far ahead of the probe being processed slot lines are prefetched.
 /// Deep enough to cover a DRAM round-trip behind the decode+score work
 /// of one probe, shallow enough not to thrash L1.
@@ -104,7 +174,7 @@ EtiMatcher::EtiMatcher(Table* ref, const Eti* eti, const IdfWeights* weights,
       fms_(weights, options_.fms),
       tokenizer_(eti->MakeTokenizer()),
       hasher_(eti->MakeHasher()),
-      tuple_cache_(options_.tuple_cache_bytes, options_.tuple_cache_shards) {}
+      tuple_cache_(options_.tuple_cache_bytes, kTupleCacheShards) {}
 
 Result<double> EtiMatcher::VerifiedSimilarity(Tid tid,
                                               const TokenizedTuple& u,
@@ -225,12 +295,9 @@ Result<std::vector<Match>> EtiMatcher::FindMatchesImpl(
 
   auto finish = [&](std::vector<Match> result) {
     qs->elapsed_seconds = timer.ElapsedSeconds();
-    {
-      std::lock_guard<std::mutex> lock(aggregate_mu_);
-      aggregate_.Accumulate(*qs);
-    }
+    RecordQuery(*qs);
     // Key query attributes ride on the trace so a tracez entry explains
-    // itself without cross-referencing the aggregate counters.
+    // itself without cross-referencing the registry counters.
     if (obs::RequestTrace::Current() != nullptr) {
       obs::AddTraceCount("eti_lookups", qs->eti_lookups);
       obs::AddTraceCount("tids_processed", qs->tids_processed);

@@ -10,7 +10,6 @@
 #ifndef FUZZYMATCH_MATCH_ETI_MATCHER_H_
 #define FUZZYMATCH_MATCH_ETI_MATCHER_H_
 
-#include <mutex>
 #include <vector>
 
 #include "common/flat_u32_map.h"
@@ -27,9 +26,8 @@ namespace fuzzymatch {
 
 /// Thread safety: FindMatches is safe to call from any number of threads
 /// concurrently — per-query state lives on the stack, the storage read
-/// path is latched, and the aggregate-stats accumulator is guarded by a
-/// small mutex (registry mirrors are lock-free atomics). Pass a distinct
-/// `stats` out-param per thread, or none.
+/// path is latched, and each query's counters land in lock-free registry
+/// atomics. Pass a distinct `stats` out-param per thread, or none.
 class EtiMatcher {
  public:
   /// `ref`, `eti` and `weights` must outlive the matcher and must describe
@@ -42,18 +40,6 @@ class EtiMatcher {
   /// best first. Probabilistically exact (Theorems 1 and 2).
   Result<std::vector<Match>> FindMatches(const Row& input,
                                    QueryStats* stats = nullptr) const;
-
-  /// Snapshot of the totals over all FindMatches() calls since
-  /// construction/reset (by value: the accumulator is shared between
-  /// threads and must not be read through a reference).
-  AggregateStats aggregate_stats() const {
-    std::lock_guard<std::mutex> lock(aggregate_mu_);
-    return aggregate_;
-  }
-  void ResetAggregateStats() {
-    std::lock_guard<std::mutex> lock(aggregate_mu_);
-    aggregate_ = AggregateStats();
-  }
 
   const MatcherOptions& options() const { return options_; }
 
@@ -105,8 +91,6 @@ class EtiMatcher {
   Tokenizer tokenizer_;
   MinHasher hasher_;
   mutable TupleCache tuple_cache_;
-  mutable std::mutex aggregate_mu_;
-  mutable AggregateStats aggregate_;  // guarded by aggregate_mu_
 };
 
 }  // namespace fuzzymatch

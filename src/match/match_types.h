@@ -60,12 +60,13 @@ struct MatcherOptions {
   /// Budget of the verified-tuple cache (tokenized reference tuples kept
   /// across queries, DESIGN.md 5d); 0 disables it.
   size_t tuple_cache_bytes = 32u << 20;
-  /// Shard count of the tuple cache (rounded up to a power of two);
-  /// higher values reduce lock contention between concurrent queries.
-  size_t tuple_cache_shards = 8;
 };
 
-/// Per-query counters (the quantities Figures 6, 8, 9, 10 report).
+/// Per-query counters (the quantities Figures 6, 8, 9, 10 report) — the
+/// per-call out-param only. EtiMatcher records every finished query into
+/// the process-wide obs::MetricsRegistry (`match.*` counters and the
+/// `match.query_seconds` histogram) and its request trace; totals are
+/// read from those two accounts.
 struct QueryStats {
   uint64_t eti_lookups = 0;       // q-gram/token probes against the ETI
   uint64_t tids_processed = 0;    // tid-list entries scored
@@ -78,36 +79,6 @@ struct QueryStats {
   double elapsed_seconds = 0.0;
 
   void Reset() { *this = QueryStats(); }
-};
-
-/// Running totals over many queries.
-///
-/// This struct is a per-matcher façade: every Accumulate() also records
-/// the same quantities into the process-wide obs::MetricsRegistry under
-/// `match.*` (counters plus the `match.query_seconds` histogram), so the
-/// benches' per-matcher reporting and the system's own metrics dump stay
-/// in lockstep.
-struct AggregateStats {
-  uint64_t queries = 0;
-  uint64_t eti_lookups = 0;
-  uint64_t tids_processed = 0;
-  uint64_t hash_table_size = 0;
-  uint64_t candidates = 0;
-  uint64_t ref_tuples_fetched = 0;
-  /// Cache-served verifications (the registry's tuple_cache.* counters
-  /// carry the process-wide account; this is the per-matcher slice).
-  uint64_t tuple_cache_hits = 0;
-  uint64_t osc_attempted = 0;
-  uint64_t osc_succeeded = 0;
-  /// Fetch counts split by OSC outcome (Figure 8's bars): succeeded,
-  /// attempted-but-failed, and queries where the fetching test never
-  /// fired (counting those as "failed" would skew the Figure 8 split).
-  uint64_t fetched_when_osc_succeeded = 0;
-  uint64_t fetched_when_osc_failed = 0;
-  uint64_t fetched_when_osc_not_attempted = 0;
-  double elapsed_seconds = 0.0;
-
-  void Accumulate(const QueryStats& q);
 };
 
 }  // namespace fuzzymatch

@@ -387,7 +387,6 @@ void MatchServer::ConnectionLoop(Connection* conn) {
     // request id is minted here, at the boundary, so a shed request is
     // attributable too (its id simply never reaches the recorder).
     requests->Increment();
-    requests_received_.fetch_add(1, std::memory_order_relaxed);
 
     WorkItem item;
     item.request = std::move(request);
@@ -395,7 +394,6 @@ void MatchServer::ConnectionLoop(Connection* conn) {
     std::future<std::string> reply = item.reply.get_future();
     if (!queue_.TryPush(&item)) {
       shed->Increment();
-      shed_requests_.fetch_add(1, std::memory_order_relaxed);
       if (!WriteAll(conn->fd, RenderErrorResponse("overloaded", true))) {
         break;
       }
@@ -407,7 +405,6 @@ void MatchServer::ConnectionLoop(Connection* conn) {
     // what makes that safe.
     const std::string response = reply.get();
     responses->Increment();
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
     if (!WriteAll(conn->fd, response)) {
       break;
     }
@@ -528,6 +525,12 @@ std::string MatchServer::HandleStatusz() const {
   const obs::BuildInfo& build = obs::GetBuildInfo();
   const obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const obs::FlightRecorder::Stats rec_stats = recorder.GetStats();
+  // Counters come from the registry, their one account. It is
+  // process-wide, which is this server's scope: one server per process.
+  auto counter = [&reg](const std::string& name) {
+    return JsonValue::Number(
+        static_cast<double>(reg.GetCounter(name)->value()));
+  };
 
   JsonValue obj = JsonValue::Object();
   obj.Set("ok", JsonValue::Bool(true));
@@ -581,18 +584,11 @@ std::string MatchServer::HandleStatusz() const {
   obj.Set("connections", std::move(conns));
 
   JsonValue counters = JsonValue::Object();
-  counters.Set("requests", JsonValue::Number(
-                               static_cast<double>(requests_received())));
-  counters.Set("responses",
-               JsonValue::Number(static_cast<double>(responses_sent())));
-  counters.Set("shed", JsonValue::Number(
-                           static_cast<double>(shed_requests())));
-  counters.Set("query_errors",
-               JsonValue::Number(static_cast<double>(
-                   QueryErrorsCounter().value())));
-  counters.Set("parse_errors",
-               JsonValue::Number(static_cast<double>(
-                   reg.GetCounter("server.parse_errors")->value())));
+  counters.Set("requests", counter("server.requests"));
+  counters.Set("responses", counter("server.responses"));
+  counters.Set("shed", counter("server.shed_requests"));
+  counters.Set("query_errors", counter("server.query_errors"));
+  counters.Set("parse_errors", counter("server.parse_errors"));
   obj.Set("counters", std::move(counters));
 
   if (single_ != nullptr) {
@@ -628,19 +624,17 @@ std::string MatchServer::HandleStatusz() const {
     JsonValue shards = JsonValue::Array();
     for (size_t k = 0; k < sharded_->num_shards(); ++k) {
       const FuzzyMatcher& shard = sharded_->router().shard(k);
-      const AggregateStats stats = sharded_->shard_aggregate_stats(k);
+      const std::string suffix = "_s" + std::to_string(k);
       JsonValue s = JsonValue::Object();
       s.Set("index", JsonValue::Number(static_cast<double>(k)));
       s.Set("tuples", JsonValue::Number(static_cast<double>(
                           shard.reference().row_count())));
       s.Set("queue_depth", JsonValue::Number(static_cast<double>(
                                sharded_->queue_depth(k))));
-      s.Set("queries",
-            JsonValue::Number(static_cast<double>(stats.queries)));
-      s.Set("candidates",
-            JsonValue::Number(static_cast<double>(stats.candidates)));
+      s.Set("queries", counter("shard.queries" + suffix));
+      s.Set("candidates", counter("shard.candidates" + suffix));
       s.Set("osc_short_circuits",
-            JsonValue::Number(static_cast<double>(stats.osc_succeeded)));
+            counter("shard.osc_short_circuits" + suffix));
       s.Set("accel_present",
             JsonValue::Bool(shard.eti().accelerator() != nullptr));
       shards.Append(std::move(s));

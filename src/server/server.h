@@ -136,17 +136,8 @@ class MatchServer {
     return stopping_.load(std::memory_order_acquire);
   }
 
-  /// Serving statistics (also mirrored into the metrics registry as
-  /// server.* counters/gauges).
-  uint64_t requests_received() const {
-    return requests_received_.load(std::memory_order_relaxed);
-  }
-  uint64_t responses_sent() const {
-    return responses_sent_.load(std::memory_order_relaxed);
-  }
-  uint64_t shed_requests() const {
-    return shed_requests_.load(std::memory_order_relaxed);
-  }
+  /// Open connections right now. Request, response and shed counts are
+  /// the registry's `server.*` counters.
   size_t active_connections() const {
     return active_connections_.load(std::memory_order_relaxed);
   }
@@ -223,9 +214,6 @@ class MatchServer {
   std::list<std::unique_ptr<Connection>> conns_;
   std::mutex rebuild_mu_;
 
-  std::atomic<uint64_t> requests_received_{0};
-  std::atomic<uint64_t> responses_sent_{0};
-  std::atomic<uint64_t> shed_requests_{0};
   std::atomic<size_t> active_connections_{0};
   std::atomic<size_t> busy_workers_{0};
 };

@@ -341,9 +341,5 @@ size_t ShardedMatcher::queue_depth(size_t k) const {
   return execs_[k]->depth.load(std::memory_order_relaxed);
 }
 
-AggregateStats ShardedMatcher::shard_aggregate_stats(size_t k) const {
-  return execs_[k]->engine->aggregate_stats();
-}
-
 }  // namespace shard
 }  // namespace fuzzymatch

@@ -59,9 +59,6 @@ class ShardedMatcher : public MatchSource {
   /// Tasks queued (not yet picked up) at shard `k` right now.
   size_t queue_depth(size_t k) const;
 
-  /// Query-path totals of shard `k`'s engine.
-  AggregateStats shard_aggregate_stats(size_t k) const;
-
  private:
   struct ShardExec;
   struct Task;

@@ -15,9 +15,7 @@ namespace fuzzymatch {
 
 namespace {
 
-// Registry mirrors of the per-pool hit/miss/eviction members: the pool
-// accessors serve tests scoped to one pool; the registry aggregates all
-// pools for the process-wide cache-hit-rate account.
+// The hit/miss/eviction account, process-wide across all pools.
 obs::Counter& HitsCounter() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().GetCounter("bufferpool.hits");
@@ -123,7 +121,6 @@ Result<size_t> BufferPool::GrabFrame() {
   }
   page_to_frame_.erase(fr.page_id);
   fr.page_id = kInvalidPageId;
-  evictions_.fetch_add(1, std::memory_order_relaxed);
   EvictionsCounter().Increment();
   return victim;
 }
@@ -132,7 +129,6 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = page_to_frame_.find(id);
   if (it != page_to_frame_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
     HitsCounter().Increment();
     Frame& fr = frames_[it->second];
     if (fr.in_lru) {
@@ -143,7 +139,6 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
     CaptureBeforeImage(id, fr.data.get());
     return PageGuard(this, it->second, id);
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   MissesCounter().Increment();
   obs::AddTraceCount("bufferpool_misses", 1);
   FM_ASSIGN_OR_RETURN(const size_t f, GrabFrame());

@@ -24,7 +24,6 @@
 #ifndef FUZZYMATCH_STORAGE_BUFFER_POOL_H_
 #define FUZZYMATCH_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -131,12 +130,8 @@ class BufferPool {
   /// True while a maintenance transaction is open.
   bool wal_txn_active() const;
 
-  /// Cache statistics (for tests and the resource-requirements bench).
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  /// Frames in the pool. Hits, misses and evictions are counted
+  /// process-wide in the registry (`bufferpool.*`).
   size_t capacity() const { return frames_.size(); }
 
   Pager* pager() { return pager_; }
@@ -180,9 +175,6 @@ class BufferPool {
   size_t next_unused_frame_ = 0;
   std::unordered_map<PageId, size_t> page_to_frame_;
   std::list<size_t> lru_;  // front = least recently used
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 
   // Maintenance-transaction state (all under mu_). Dirtied pages are a
   // sorted set so the commit batch — and thus LSN assignment — is

@@ -8,6 +8,7 @@
 
 #include "gen/customer_gen.h"
 #include "gen/dataset.h"
+#include "support/counter_delta.h"
 
 namespace fuzzymatch {
 namespace {
@@ -71,6 +72,7 @@ TEST_F(FuzzyMatcherTest, RecoversDirtyInputsAccurately) {
   auto inputs = GenerateInputs(*ref, spec, &(*matcher)->weights());
   ASSERT_TRUE(inputs.ok());
 
+  const test_support::CounterDelta queries("match.queries");
   int correct = 0;
   for (const auto& input : *inputs) {
     auto matches = (*matcher)->FindMatches(input.dirty);
@@ -80,7 +82,7 @@ TEST_F(FuzzyMatcherTest, RecoversDirtyInputsAccurately) {
   // D2-grade corruption on a 3000-row relation: the matcher should
   // recover a solid majority (the paper reports ~85-95% on real data).
   EXPECT_GT(correct, 150 * 6 / 10) << correct << "/150";
-  EXPECT_EQ((*matcher)->aggregate_stats().queries, 150u);
+  EXPECT_EQ(queries.value(), 150u);
 }
 
 TEST_F(FuzzyMatcherTest, ThresholdRoutesGarbageToCleaning) {
@@ -112,17 +114,6 @@ TEST_F(FuzzyMatcherTest, MultipleStrategiesCoexistInOneDatabase) {
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_DOUBLE_EQ((*r1)[0].similarity, 1.0);
   EXPECT_DOUBLE_EQ((*r2)[0].similarity, 1.0);
-}
-
-TEST_F(FuzzyMatcherTest, ResetAggregateStats) {
-  auto matcher = FuzzyMatcher::Build(db_.get(), "customers");
-  ASSERT_TRUE(matcher.ok());
-  auto row = (*matcher)->reference().Get(0);
-  ASSERT_TRUE(row.ok());
-  ASSERT_TRUE((*matcher)->FindMatches(*row).ok());
-  EXPECT_EQ((*matcher)->aggregate_stats().queries, 1u);
-  (*matcher)->ResetAggregateStats();
-  EXPECT_EQ((*matcher)->aggregate_stats().queries, 0u);
 }
 
 }  // namespace

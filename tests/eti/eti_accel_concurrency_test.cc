@@ -16,6 +16,7 @@
 #include "eti/signature.h"
 #include "gen/customer_gen.h"
 #include "gen/dataset.h"
+#include "support/counter_delta.h"
 
 namespace fuzzymatch {
 namespace {
@@ -131,7 +132,6 @@ TEST_F(EtiAccelConcurrencyTest, ConcurrentAcceleratedQueriesMatchSerial) {
   // Small budgets keep eviction and spill active under contention.
   config.accel_memory_bytes = 1u << 20;
   config.matcher.tuple_cache_bytes = 64u << 10;
-  config.matcher.tuple_cache_shards = 4;
   auto matcher = FuzzyMatcher::Build(db_.get(), "customers", config);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
 
@@ -149,6 +149,7 @@ TEST_F(EtiAccelConcurrencyTest, ConcurrentAcceleratedQueriesMatchSerial) {
     expected.push_back(std::move(*matches));
   }
 
+  const test_support::CounterDelta cache_hits("tuple_cache.hits");
   constexpr size_t kThreads = 6;
   std::vector<uint64_t> mismatches(kThreads, 0);
   std::vector<std::thread> threads;
@@ -175,7 +176,7 @@ TEST_F(EtiAccelConcurrencyTest, ConcurrentAcceleratedQueriesMatchSerial) {
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
   }
-  EXPECT_GT((*matcher)->aggregate_stats().tuple_cache_hits, 0u);
+  EXPECT_GT(cache_hits.value(), 0u);
 }
 
 }  // namespace

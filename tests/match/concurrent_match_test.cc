@@ -1,8 +1,8 @@
 // Concurrency tests for the shared-read query path: many threads
 // querying one FuzzyMatcher must produce byte-identical results to the
-// serial run, and the shared aggregate-stats accumulator must not lose
-// counts. Run under -DFM_SANITIZE=thread these are the TSan probes for
-// the whole matcher/storage read stack.
+// serial run, and the lock-free registry counters must not lose counts.
+// Run under -DFM_SANITIZE=thread these are the TSan probes for the whole
+// matcher/storage read stack.
 
 #include <atomic>
 #include <thread>
@@ -14,6 +14,7 @@
 #include "core/fuzzy_match.h"
 #include "gen/customer_gen.h"
 #include "gen/dataset.h"
+#include "support/counter_delta.h"
 
 namespace fuzzymatch {
 namespace {
@@ -92,10 +93,15 @@ TEST_F(ConcurrentMatchTest, ThreadedFindMatchesEqualsSerial) {
   }
 }
 
-TEST_F(ConcurrentMatchTest, AggregateStatsLosesNothingUnderThreads) {
-  matcher_->ResetAggregateStats();
+TEST_F(ConcurrentMatchTest, MatchCountersLoseNothingUnderThreads) {
+  const test_support::CounterDelta queries("match.queries");
+  const test_support::CounterDelta lookups("match.eti_lookups");
+  const test_support::CounterDelta tids("match.tids_processed");
+  const test_support::CounterDelta fetched("match.ref_tuples_fetched");
   constexpr size_t kThreads = 6;
   constexpr size_t kPerThread = 40;
+  // Per-thread sums of the per-call stats, added up after the join.
+  std::vector<QueryStats> sums(kThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -104,15 +110,26 @@ TEST_F(ConcurrentMatchTest, AggregateStatsLosesNothingUnderThreads) {
         (void)matcher_->FindMatches(queries_[(t * kPerThread + i) %
                                              queries_.size()],
                                     &stats);
+        sums[t].eti_lookups += stats.eti_lookups;
+        sums[t].tids_processed += stats.tids_processed;
+        sums[t].ref_tuples_fetched += stats.ref_tuples_fetched;
       }
     });
   }
   for (std::thread& t : threads) {
     t.join();
   }
-  const AggregateStats totals = matcher_->aggregate_stats();
-  EXPECT_EQ(totals.queries, kThreads * kPerThread)
-      << "the shared accumulator dropped queries (data race)";
+  QueryStats total;
+  for (const QueryStats& sum : sums) {
+    total.eti_lookups += sum.eti_lookups;
+    total.tids_processed += sum.tids_processed;
+    total.ref_tuples_fetched += sum.ref_tuples_fetched;
+  }
+  EXPECT_EQ(queries.value(), kThreads * kPerThread)
+      << "the registry counters dropped queries (data race)";
+  EXPECT_EQ(lookups.value(), total.eti_lookups);
+  EXPECT_EQ(tids.value(), total.tids_processed);
+  EXPECT_EQ(fetched.value(), total.ref_tuples_fetched);
 }
 
 TEST_F(ConcurrentMatchTest, GetReferenceTupleConcurrentWithQueries) {

@@ -7,9 +7,12 @@
 #include "gen/dataset.h"
 #include "match/naive_matcher.h"
 #include "storage/database.h"
+#include "support/counter_delta.h"
 
 namespace fuzzymatch {
 namespace {
+
+using test_support::CounterDelta;
 
 // Environment shared by the heavier tests: a 2000-row synthetic customer
 // relation with one ETI per strategy under test.
@@ -196,6 +199,13 @@ TEST_F(EtiMatcherTest, StatsAreConsistent) {
                            MatcherOptions{});
   auto row = ref_->Get(10);
   ASSERT_TRUE(row.ok());
+  const CounterDelta queries("match.queries");
+  const CounterDelta lookups("match.eti_lookups");
+  const CounterDelta fetched("match.ref_tuples_fetched");
+  const CounterDelta osc_attempted("match.osc_attempted");
+  const CounterDelta fetched_ok("match.fetched_when_osc_succeeded");
+  const CounterDelta fetched_fail("match.fetched_when_osc_failed");
+  const CounterDelta fetched_none("match.fetched_when_osc_not_attempted");
   QueryStats stats;
   ASSERT_TRUE(matcher.FindMatches(*row, &stats).ok());
   EXPECT_GT(stats.eti_lookups, 0u);
@@ -203,16 +213,14 @@ TEST_F(EtiMatcherTest, StatsAreConsistent) {
   EXPECT_GT(stats.ref_tuples_fetched, 0u);
   EXPECT_GT(stats.elapsed_seconds, 0.0);
 
-  const AggregateStats& agg = matcher.aggregate_stats();
-  EXPECT_EQ(agg.queries, 1u);
-  EXPECT_EQ(agg.eti_lookups, stats.eti_lookups);
-  EXPECT_EQ(agg.ref_tuples_fetched, stats.ref_tuples_fetched);
-  EXPECT_EQ(agg.fetched_when_osc_succeeded + agg.fetched_when_osc_failed +
-                agg.fetched_when_osc_not_attempted,
-            agg.ref_tuples_fetched);
+  EXPECT_EQ(queries.value(), 1u);
+  EXPECT_EQ(lookups.value(), stats.eti_lookups);
+  EXPECT_EQ(fetched.value(), stats.ref_tuples_fetched);
+  EXPECT_EQ(fetched_ok.value() + fetched_fail.value() + fetched_none.value(),
+            fetched.value());
   // The failed bucket only counts queries where OSC actually fired.
-  if (agg.osc_attempted == 0) {
-    EXPECT_EQ(agg.fetched_when_osc_failed, 0u);
+  if (osc_attempted.value() == 0) {
+    EXPECT_EQ(fetched_fail.value(), 0u);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "gen/dataset.h"
 #include "obs/trace.h"
 #include "shard/sharded_matcher.h"
+#include "support/counter_delta.h"
 #include "support/seed.h"
 
 namespace fuzzymatch {
@@ -286,18 +287,19 @@ TEST(ShardedEquivalenceTest, AggregatesQueryStatsAcrossShards) {
   auto sharded = ShardedMatcher::Create(router->get());
   ASSERT_TRUE(sharded.ok());
 
+  const test_support::CounterDelta queries("match.queries");
+  const test_support::CounterDelta lookups("match.eti_lookups");
   QueryStats stats;
   auto matches = (*sharded)->FindMatches(env->inputs[0], &stats);
   ASSERT_TRUE(matches.ok());
   EXPECT_GT(stats.eti_lookups, 0u);
   EXPECT_GT(stats.elapsed_seconds, 0.0);
 
-  uint64_t queries = 0;
   for (size_t k = 0; k < 2; ++k) {
-    queries += (*sharded)->shard_aggregate_stats(k).queries;
     EXPECT_EQ((*sharded)->queue_depth(k), 0u);
   }
-  EXPECT_EQ(queries, 2u);  // one task per shard
+  EXPECT_EQ(queries.value(), 2u);  // one task per shard
+  EXPECT_EQ(lookups.value(), stats.eti_lookups);  // the per-shard sum
 }
 
 }  // namespace

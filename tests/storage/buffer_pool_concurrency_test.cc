@@ -12,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include "support/counter_delta.h"
+
 namespace fuzzymatch {
 namespace {
+
+using test_support::CounterDelta;
 
 /// Seeds `pages` pages, each tagged with its own id, through `pool`.
 void SeedPages(BufferPool* pool, uint32_t pages) {
@@ -32,6 +36,7 @@ TEST(BufferPoolConcurrencyTest, ConcurrentReadersUnderEvictionChurn) {
   // 8 frames for 64 pages: most fetches miss and evict.
   BufferPool pool(pager.get(), 8);
   SeedPages(&pool, kPages);
+  const CounterDelta evictions("bufferpool.evictions");
 
   constexpr size_t kThreads = 8;
   constexpr size_t kFetchesPerThread = 500;
@@ -64,7 +69,7 @@ TEST(BufferPoolConcurrencyTest, ConcurrentReadersUnderEvictionChurn) {
   }
   EXPECT_EQ(corrupt.load(), 0u) << "a reader saw another page's bytes";
   EXPECT_EQ(failed.load(), 0u);
-  EXPECT_GT(pool.evictions(), 0u) << "the test must actually churn";
+  EXPECT_GT(evictions.value(), 0u) << "the test must actually churn";
 }
 
 TEST(BufferPoolConcurrencyTest, PinnedPageStaysStableWhileOthersEvict) {
@@ -111,7 +116,7 @@ TEST(BufferPoolConcurrencyTest, StatisticsAreConsistentUnderThreads) {
 
   constexpr size_t kThreads = 4;
   constexpr size_t kFetches = 250;
-  const uint64_t hits_before = pool.hits();
+  const CounterDelta hits("bufferpool.hits");
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
@@ -124,7 +129,7 @@ TEST(BufferPoolConcurrencyTest, StatisticsAreConsistentUnderThreads) {
   for (std::thread& t : threads) {
     t.join();
   }
-  EXPECT_EQ(pool.hits() - hits_before, kThreads * kFetches)
+  EXPECT_EQ(hits.value(), kThreads * kFetches)
       << "hit counter dropped increments under concurrency";
 }
 

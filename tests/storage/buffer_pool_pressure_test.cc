@@ -18,9 +18,12 @@
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
+#include "support/counter_delta.h"
 
 namespace fuzzymatch {
 namespace {
+
+using test_support::CounterDelta;
 
 using fault::Action;
 using fault::FailpointSpec;
@@ -51,6 +54,7 @@ TEST(BufferPoolPressureTest, SplitsSurviveDirtyEvictionAndReopen) {
     ASSERT_TRUE(pager_or.ok());
     auto pager = std::move(*pager_or);
     BufferPool pool(pager.get(), kPoolFrames);
+    const CounterDelta evictions("bufferpool.evictions");
     auto tree_or = BPlusTree::Create(&pool);
     ASSERT_TRUE(tree_or.ok());
     BPlusTree tree = *tree_or;
@@ -58,7 +62,7 @@ TEST(BufferPoolPressureTest, SplitsSurviveDirtyEvictionAndReopen) {
       ASSERT_TRUE(tree.Put(WideKey(i), ValueOf(i)).ok()) << "key " << i;
     }
     // The whole point of the test: the working set did not fit.
-    EXPECT_GT(pool.evictions(), 0u);
+    EXPECT_GT(evictions.value(), 0u);
 
     // Every key readable through the live handle (faulting pages back in
     // past more evictions).
@@ -97,6 +101,7 @@ TEST(BufferPoolPressureTest, EvictionErrorMidSplitLeavesTreeIntact) {
   Failpoints::Global().Reset();
   auto pager = Pager::OpenInMemory();
   BufferPool pool(pager.get(), kPoolFrames);
+  const CounterDelta evictions("bufferpool.evictions");
   auto tree_or = BPlusTree::Create(&pool);
   ASSERT_TRUE(tree_or.ok());
   BPlusTree tree = *tree_or;
@@ -107,7 +112,7 @@ TEST(BufferPoolPressureTest, EvictionErrorMidSplitLeavesTreeIntact) {
   for (; inserted < kKeys / 2; ++inserted) {
     ASSERT_TRUE(tree.Put(WideKey(inserted), ValueOf(inserted)).ok());
   }
-  ASSERT_GT(pool.evictions(), 0u);
+  ASSERT_GT(evictions.value(), 0u);
 
   FailpointSpec spec;
   spec.action = Action::kError;

@@ -4,8 +4,12 @@
 
 #include <cstring>
 
+#include "support/counter_delta.h"
+
 namespace fuzzymatch {
 namespace {
+
+using test_support::CounterDelta;
 
 TEST(BufferPoolTest, NewPageIsZeroedAndPinned) {
   auto pager = Pager::OpenInMemory();
@@ -21,6 +25,8 @@ TEST(BufferPoolTest, NewPageIsZeroedAndPinned) {
 TEST(BufferPoolTest, FetchHitsCache) {
   auto pager = Pager::OpenInMemory();
   BufferPool pool(pager.get(), 4);
+  const CounterDelta hits("bufferpool.hits");
+  const CounterDelta misses("bufferpool.misses");
   {
     auto guard = pool.New();
     ASSERT_TRUE(guard.ok());
@@ -30,13 +36,14 @@ TEST(BufferPoolTest, FetchHitsCache) {
   auto g1 = pool.Fetch(0);
   ASSERT_TRUE(g1.ok());
   EXPECT_EQ(g1->data()[0], 'a');
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(hits.value(), 1u);
+  EXPECT_EQ(misses.value(), 0u);
 }
 
 TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
   auto pager = Pager::OpenInMemory();
   BufferPool pool(pager.get(), 2);
+  const CounterDelta evictions("bufferpool.evictions");
   // Create 3 pages through a 2-frame pool; page 0 must be evicted.
   for (int i = 0; i < 3; ++i) {
     auto guard = pool.New();
@@ -44,7 +51,7 @@ TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
     guard->data()[0] = static_cast<char>('a' + i);
     guard->MarkDirty();
   }
-  EXPECT_GE(pool.evictions(), 1u);
+  EXPECT_GE(evictions.value(), 1u);
   // Re-fetch page 0: contents must have survived via the pager.
   auto g = pool.Fetch(0);
   ASSERT_TRUE(g.ok());
@@ -106,13 +113,13 @@ TEST(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
     ASSERT_TRUE(g.ok());
   }
   // Pages 0 and 1: 0 was evicted for page 2 (LRU). Frames now hold {1, 2}.
-  const uint64_t misses_before = pool.misses();
+  const CounterDelta misses("bufferpool.misses");
   auto g1 = pool.Fetch(1);
   ASSERT_TRUE(g1.ok());
-  EXPECT_EQ(pool.misses(), misses_before) << "page 1 should still be cached";
+  EXPECT_EQ(misses.value(), 0u) << "page 1 should still be cached";
   auto g0 = pool.Fetch(0);
   ASSERT_TRUE(g0.ok());
-  EXPECT_EQ(pool.misses(), misses_before + 1) << "page 0 was evicted";
+  EXPECT_EQ(misses.value(), 1u) << "page 0 was evicted";
 }
 
 TEST(BufferPoolTest, MoveSemanticsOfGuard) {

@@ -232,6 +232,15 @@ prom = open(tmp + "/metrics.prom").read()
 for metric in ("fm_process_rss_bytes", "fm_process_open_fds",
                "fm_server_requests", "fm_span_match_find_matches_seconds"):
     assert metric in prom, f"prometheus scrape missing {metric}"
+# statusz counters must be the registry's, not a second account: no
+# match/clean traffic runs between the two scrapes, so they agree exactly.
+samples = dict(line.split(" ", 1) for line in prom.splitlines()
+               if line and not line.startswith("#"))
+for key, metric in (("requests", "fm_server_requests"),
+                    ("responses", "fm_server_responses"),
+                    ("shed", "fm_server_shed_requests")):
+    assert status["counters"][key] == float(samples[metric]), \
+        (key, status["counters"][key], metric, samples.get(metric))
 print("[ci] statusz/tracez/metrics/loadgen JSON shapes OK")
 PYEOF
 

@@ -52,6 +52,7 @@
 #include "core/fuzzy_match.h"
 #include "fault/failpoint.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/process_metrics.h"
 #include "obs/trace.h"
 #include "server/server.h"
@@ -414,9 +415,10 @@ Status Run(const Args& args) {
   FM_SLOG(Info, "server.drain");
   srv->Shutdown();
   g_server = nullptr;
+  auto& reg = obs::MetricsRegistry::Global();
   FM_SLOG(Info, "server.stop")
-      .Field("responses", srv->responses_sent())
-      .Field("shed", srv->shed_requests());
+      .Field("responses", reg.GetCounter("server.responses")->value())
+      .Field("shed", reg.GetCounter("server.shed_requests")->value());
   return Status::OK();
 }
 
