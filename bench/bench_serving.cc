@@ -7,10 +7,10 @@
 //      query-path scaling, no sockets;
 //   2. served: an in-process MatchServer on an ephemeral loopback port,
 //      N closed-loop clients issuing `clean` requests — end-to-end
-//      throughput and client-observed p50/p99;
-//   3. sharded: the scatter/gather tier behind the same server at
-//      1/2/4/8 shards (conservative bound policy, so every response is
-//      byte-checked against the 1-shard serial run).
+//      throughput and client-observed p50/p99; the widest run's flight
+//      recorder is archived as bench_serving.tracez.json;
+//   3. rebuild-while-serving: an online ETI rebuild swapped in under
+//      closed-loop clients.
 //
 // Every served response is checked byte-for-byte against the serial
 // CleanBatch rendering of the same input (zero result divergence), so
@@ -40,7 +40,6 @@
 #include "server/json.h"
 #include "server/protocol.h"
 #include "server/server.h"
-#include "shard/sharded_matcher.h"
 #include "support/alloc_counter.h"
 #include "support/bench_env.h"
 
@@ -288,8 +287,7 @@ Status RunBench() {
         ->Set(run.p99_ms);
   }
 
-  // Sweep 4 (run before the sharded sweep so it reuses the live
-  // matcher): online ETI rebuild while serving (DESIGN.md 5j). Clients
+  // Sweep 3: online ETI rebuild while serving (DESIGN.md 5j). Clients
   // hammer the query path in a closed loop while one admin connection
   // triggers `rebuild`; the swap must not drain them, and with no
   // concurrent maintenance every response — before, during, after —
@@ -352,85 +350,6 @@ Status RunBench() {
         ->Set(static_cast<double>(answered.load()));
   }
 
-  // Sweep 3: the scatter/gather tier at 1/2/4/8 shards, served over
-  // loopback like sweep 2. The byte-divergence check needs its own
-  // serial ground truth under the conservative bound policy — the one
-  // under which sharded output is provably byte-identical to a single
-  // engine (DESIGN.md 5h); the 1-shard run provides it.
-  FuzzyMatchConfig shard_config = config;
-  shard_config.matcher.bound_policy =
-      MatcherOptions::BoundPolicy::kConservative;
-  std::vector<std::string> shard_expected(rows.size());
-  double sharded_serial_qps = 0.0;
-  for (const size_t num_shards : {1u, 2u, 4u, 8u}) {
-    shard::ShardRouter::Options router_options;
-    router_options.num_shards = num_shards;
-    FM_ASSIGN_OR_RETURN(
-        const auto router,
-        shard::ShardRouter::Build(env.customers, shard_config,
-                                  router_options));
-    FM_ASSIGN_OR_RETURN(const auto sharded,
-                        shard::ShardedMatcher::Create(router.get()));
-    if (num_shards == 1) {
-      const BatchCleaner shard_cleaner(sharded.get(),
-                                       BatchCleaner::Options{});
-      const double t0 = Now();
-      FM_RETURN_IF_ERROR(
-          shard_cleaner
-              .CleanBatch(rows,
-                          [&](size_t i, const CleanResult& r) -> Status {
-                            std::string line =
-                                server::RenderCleanResponse(i, r);
-                            line.pop_back();
-                            shard_expected[i] = std::move(line);
-                            return Status::OK();
-                          })
-              .status());
-      sharded_serial_qps =
-          static_cast<double>(rows.size()) / (Now() - t0);
-    }
-
-    server::ServerOptions options;
-    options.workers = max_workers;
-    options.queue_capacity = 2 * max_workers + 64;
-    server::MatchServer srv(sharded.get(), BatchCleaner::Options{},
-                            options);
-    FM_RETURN_IF_ERROR(srv.Start());
-    FM_ASSIGN_OR_RETURN(
-        const ServedRun run,
-        RunServedSweep(srv.port(), max_workers, requests, shard_expected));
-    // The archived flight-recorder snapshot comes from the widest shard
-    // fan-out: those traces carry the shard[k] subtrees.
-    {
-      server::LineClient probe;
-      if (probe.Connect("127.0.0.1", srv.port()).ok()) {
-        if (auto tracez = probe.Roundtrip("tracez 32"); tracez.ok()) {
-          tracez_snapshot = std::move(*tracez);
-        }
-      }
-    }
-    srv.Shutdown();
-    if (run.divergent > 0 || run.errors > 0) {
-      return Status::Internal(StringPrintf(
-          "sharded served results diverged from the 1-shard serial run: "
-          "%llu divergent, %llu errors at %zu shards",
-          static_cast<unsigned long long>(run.divergent),
-          static_cast<unsigned long long>(run.errors), num_shards));
-    }
-    const double qps = static_cast<double>(rows.size()) / run.seconds;
-    PrintRow({"sharded", StringPrintf("s%zu", num_shards),
-              StringPrintf("%.3f", run.seconds), StringPrintf("%.0f", qps),
-              StringPrintf("%.2fx", qps / sharded_serial_qps),
-              StringPrintf("%.3f", run.p50_ms),
-              StringPrintf("%.3f", run.p95_ms),
-              StringPrintf("%.3f", run.p99_ms)});
-    const std::string suffix = "_s" + std::to_string(num_shards);
-    reg.GetGauge("bench_serving.sharded_qps" + suffix)->Set(qps);
-    reg.GetGauge("bench_serving.sharded_p50_ms" + suffix)->Set(run.p50_ms);
-    reg.GetGauge("bench_serving.sharded_p99_ms" + suffix)->Set(run.p99_ms);
-  }
-  reg.GetGauge("bench_serving.sharded_serial_qps")->Set(sharded_serial_qps);
-
   if (!tracez_snapshot.empty()) {
     const char* dir_env = std::getenv("FM_METRICS_DIR");
     const std::string dir =
@@ -447,11 +366,11 @@ Status RunBench() {
 
   std::printf(
       "\nall served responses byte-identical to the serial batch "
-      "(zero divergence, sharded included)\n");
+      "(zero divergence)\n");
   if (hw < max_workers) {
     std::printf(
-        "note: only %zu hardware thread(s); multi-worker and multi-shard "
-        "ratios are concurrency-correctness runs, not speedups\n",
+        "note: only %zu hardware thread(s); multi-worker ratios are "
+        "concurrency-correctness runs, not speedups\n",
         hw);
   }
   DumpMetrics("bench_serving");

@@ -222,8 +222,10 @@ void DumpMetrics(const std::string& bench_name) {
 }
 
 void PrintRow(const std::vector<std::string>& cells) {
+  // 14-column cells; the separating space keeps a cell of 14 or more
+  // characters from running into the next one.
   for (size_t i = 0; i < cells.size(); ++i) {
-    std::printf("%-14s", cells[i].c_str());
+    std::printf(i == 0 ? "%-13s" : " %-13s", cells[i].c_str());
   }
   std::printf("\n");
   std::fflush(stdout);

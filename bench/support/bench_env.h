@@ -50,7 +50,8 @@ std::vector<EtiParams> PaperStrategies(int q = 4);
 double Accuracy(const std::vector<InputTuple>& inputs,
                 const std::vector<std::vector<Match>>& results);
 
-/// Prints one aligned row of a results table.
+/// Prints one aligned row of a results table: 14-column cells, always
+/// separated by at least one space.
 void PrintRow(const std::vector<std::string>& cells);
 
 /// Applies the hot-path acceleration overrides (DESIGN.md 5d) so every

@@ -47,7 +47,7 @@ struct CleanerMetrics {
 
 }  // namespace
 
-BatchCleaner::BatchCleaner(const MatchSource* matcher, Options options)
+BatchCleaner::BatchCleaner(const FuzzyMatcher* matcher, Options options)
     : matcher_(matcher), options_(options) {
   FM_CHECK(matcher != nullptr);
 }

@@ -97,12 +97,6 @@ Result<std::unique_ptr<FuzzyMatcher>> FuzzyMatcher::Open(
   return Open(db, ref_table_name, strategy_name, std::move(config));
 }
 
-void FuzzyMatcher::OverrideWeights(IdfWeights weights) {
-  weights_ = std::make_unique<IdfWeights>(std::move(weights));
-  matcher_ = std::make_unique<EtiMatcher>(ref_, eti_.get(), weights_.get(),
-                                          config_.matcher);
-}
-
 std::string FuzzyMatcher::EtiName() const {
   return ref_->name() + "_eti_" + eti_->params().StrategyName();
 }

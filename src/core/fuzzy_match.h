@@ -23,7 +23,6 @@
 #include "common/result.h"
 #include "eti/eti_builder.h"
 #include "match/eti_matcher.h"
-#include "match/match_source.h"
 #include "match/match_types.h"
 #include "storage/database.h"
 
@@ -72,7 +71,7 @@ struct EtiRebuildStats {
 /// serialize against each other and against RebuildEti internally, but
 /// remain writers: do not run them concurrently with queries. RebuildEti
 /// itself is safe to run while queries are being served.
-class FuzzyMatcher : public MatchSource {
+class FuzzyMatcher {
  public:
   /// Builds the ETI and weight table for `ref_table_name` inside `db` and
   /// returns a ready matcher. The ETI persists in `db` as a standard
@@ -128,32 +127,16 @@ class FuzzyMatcher : public MatchSource {
   /// The K-fuzzy-match operation for one input tuple: at most K reference
   /// tuples with fms >= c, most similar first.
   Result<std::vector<Match>> FindMatches(
-      const Row& input, QueryStats* stats = nullptr) const override {
+      const Row& input, QueryStats* stats = nullptr) const {
     return matcher_->FindMatches(input, stats);
   }
 
   /// Fetches a matched reference tuple.
-  Result<Row> GetReferenceTuple(Tid tid) const override {
+  Result<Row> GetReferenceTuple(Tid tid) const {
     return ref_->Get(tid);
   }
 
-  const Schema& reference_schema() const override { return ref_->schema(); }
-
-  /// Replaces the IDF weight table and rebuilds the query engine around
-  /// it. The sharded tier uses this to install weights computed over the
-  /// FULL reference relation, so per-shard similarities are identical to
-  /// the single-database matcher's. Not thread-safe: call before serving
-  /// queries.
-  void OverrideWeights(IdfWeights weights);
-
-  /// A fresh query engine over this matcher's reference table, ETI and
-  /// weights — its own tuple cache, shared (read-only) index. Each shard
-  /// of a ShardedMatcher queries through one of these. The matcher must
-  /// outlive the returned engine.
-  std::unique_ptr<EtiMatcher> NewQueryEngine() const {
-    return std::make_unique<EtiMatcher>(ref_, eti_.get(), weights_.get(),
-                                        config_.matcher);
-  }
+  const Schema& reference_schema() const { return ref_->schema(); }
 
   const Table& reference() const { return *ref_; }
   const Eti& eti() const { return *eti_; }

@@ -69,8 +69,7 @@ class EtiMatcher {
   /// Per-thread reusable query state (gram arena, probe list, score
   /// tables, decode scratch) — defined in the .cc. FindMatchesImpl grabs
   /// the calling thread's instance, so steady-state queries allocate
-  /// nothing; this covers ShardedMatcher's worker threads too, since
-  /// they land here per shard.
+  /// nothing.
   struct MatchScratch;
 
   /// fms(u, reference tuple `tid`), served from the per-query memo, then

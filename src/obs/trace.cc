@@ -62,12 +62,6 @@ RequestTrace::RequestTrace(std::string op, uint64_t request_id,
   g_current_trace = this;
 }
 
-RequestTrace::RequestTrace(std::string op, uint64_t request_id,
-                           CollectInto into)
-    : RequestTrace(std::move(op), request_id, nullptr, Limits()) {
-  sink_ = into.sink;
-}
-
 RequestTrace::~RequestTrace() {
   g_current_trace = previous_;
   record_.duration_ns = static_cast<uint64_t>(
@@ -78,9 +72,7 @@ RequestTrace::~RequestTrace() {
     FM_LOG(Debug) << "trace " << record_.op << "#" << record_.request_id
                   << ": " << Summary();
   }
-  if (sink_ != nullptr) {
-    *sink_ = std::move(record_);
-  } else if (recorder_ != nullptr) {
+  if (recorder_ != nullptr) {
     recorder_->Record(std::move(record_));
   }
 }
@@ -139,69 +131,6 @@ void RequestTrace::SetStatus(const Status& status) {
   }
   record_.error = true;
   record_.status = status.ToString();
-}
-
-void RequestTrace::AdoptChildTrace(
-    const TraceRecord& child, const char* label,
-    std::chrono::steady_clock::time_point child_start) {
-  const int64_t offset =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(child_start -
-                                                           start_)
-          .count();
-  const uint64_t base_ns = offset > 0 ? static_cast<uint64_t>(offset) : 0;
-  record_.dropped_spans += child.dropped_spans;
-
-  // Synthetic root covering the child's whole tree, parented under the
-  // innermost open span (the coordinator's scatter/gather span).
-  int32_t root = -1;
-  if (record_.spans.size() < limits_.max_spans) {
-    TraceSpan span;
-    span.name = label;
-    span.start_ns = base_ns;
-    span.duration_ns = child.duration_ns;
-    span.parent = open_stack_.empty() ? -1 : open_stack_.back();
-    root = static_cast<int32_t>(record_.spans.size());
-    record_.spans.push_back(span);
-  } else {
-    ++record_.dropped_spans;
-  }
-
-  // Rebase the child's spans: offsets shift by base_ns, parent indexes
-  // remap into this record (child roots hang off the synthetic root).
-  std::vector<int32_t> remap(child.spans.size(), -1);
-  for (size_t i = 0; i < child.spans.size(); ++i) {
-    if (record_.spans.size() >= limits_.max_spans) {
-      record_.dropped_spans +=
-          static_cast<uint32_t>(child.spans.size() - i);
-      break;
-    }
-    const TraceSpan& from = child.spans[i];
-    int32_t parent = root;
-    if (from.parent >= 0) {
-      parent = remap[static_cast<size_t>(from.parent)];
-      if (parent < 0) {  // parent itself was dropped
-        ++record_.dropped_spans;
-        continue;
-      }
-    }
-    TraceSpan span;
-    span.name = from.name;
-    span.start_ns = base_ns + from.start_ns;
-    span.duration_ns = from.duration_ns;
-    span.parent = parent;
-    remap[i] = static_cast<int32_t>(record_.spans.size());
-    record_.spans.push_back(span);
-  }
-
-  for (const TraceCount& count : child.counts) {
-    AddCount(count.key, count.value);
-  }
-  if (child.error) {
-    record_.error = true;
-    if (record_.status.empty()) {
-      record_.status = child.status;
-    }
-  }
 }
 
 std::string RequestTrace::Summary() const {

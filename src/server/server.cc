@@ -17,7 +17,6 @@
 #include "obs/process_metrics.h"
 #include "obs/trace.h"
 #include "server/json.h"
-#include "shard/sharded_matcher.h"
 
 namespace fuzzymatch {
 namespace server {
@@ -68,24 +67,8 @@ obs::Counter& QueryErrorsCounter() {
 MatchServer::MatchServer(const FuzzyMatcher* matcher,
                          BatchCleaner::Options clean_options,
                          ServerOptions options)
-    : MatchServer(matcher, matcher, nullptr, std::move(clean_options),
-                  std::move(options)) {}
-
-MatchServer::MatchServer(const shard::ShardedMatcher* matcher,
-                         BatchCleaner::Options clean_options,
-                         ServerOptions options)
-    : MatchServer(matcher, nullptr, matcher, std::move(clean_options),
-                  std::move(options)) {}
-
-MatchServer::MatchServer(const MatchSource* source,
-                         const FuzzyMatcher* single,
-                         const shard::ShardedMatcher* sharded,
-                         BatchCleaner::Options clean_options,
-                         ServerOptions options)
-    : source_(source),
-      single_(single),
-      sharded_(sharded),
-      cleaner_(source, clean_options),
+    : matcher_(matcher),
+      cleaner_(matcher, clean_options),
       options_(std::move(options)),
       queue_(options_.queue_capacity) {}
 
@@ -469,7 +452,7 @@ void MatchServer::WorkerLoop(size_t worker_index) {
 
 std::string MatchServer::HandleQuery(const Request& request) {
   FM_TRACE_SPAN("server.handle_query");
-  const size_t want = source_->reference_schema().num_columns();
+  const size_t want = matcher_->reference_schema().num_columns();
   if (request.row.size() != want) {
     return RenderErrorResponse(StringPrintf(
         "row arity %zu does not match reference arity %zu",
@@ -486,7 +469,7 @@ std::string MatchServer::HandleQuery(const Request& request) {
 }
 
 std::string MatchServer::HandleMatch(const Request& request) {
-  auto matches = source_->FindMatches(request.row);
+  auto matches = matcher_->FindMatches(request.row);
   if (!matches.ok()) {
     QueryErrorsCounter().Increment();
     return RenderStatusResponse(matches.status());
@@ -494,7 +477,7 @@ std::string MatchServer::HandleMatch(const Request& request) {
   std::vector<MatchWithRow> enriched;
   enriched.reserve(matches->size());
   for (const Match& m : *matches) {
-    auto row = source_->GetReferenceTuple(m.tid);
+    auto row = matcher_->GetReferenceTuple(m.tid);
     if (!row.ok()) {
       QueryErrorsCounter().Increment();
       // This fetch is outside the matcher's boundary; stamp the trace
@@ -591,56 +574,32 @@ std::string MatchServer::HandleStatusz() const {
   counters.Set("parse_errors", counter("server.parse_errors"));
   obj.Set("counters", std::move(counters));
 
-  if (single_ != nullptr) {
-    JsonValue accel_obj = JsonValue::Object();
-    const EtiAccel* accel = single_->eti().accelerator();
-    accel_obj.Set("present", JsonValue::Bool(accel != nullptr));
-    if (accel != nullptr) {
-      accel_obj.Set("complete", JsonValue::Bool(accel->complete()));
-      accel_obj.Set("entries",
-                    JsonValue::Number(
-                        static_cast<double>(accel->entry_count())));
-      accel_obj.Set("bytes",
-                    JsonValue::Number(
-                        static_cast<double>(accel->memory_bytes())));
-    }
-    obj.Set("accel", std::move(accel_obj));
-
-    JsonValue cache_obj = JsonValue::Object();
-    const TupleCache& cache = single_->eti_matcher().tuple_cache();
-    cache_obj.Set("enabled", JsonValue::Bool(cache.enabled()));
-    if (cache.enabled()) {
-      cache_obj.Set("entries",
-                    JsonValue::Number(
-                        static_cast<double>(cache.entry_count())));
-      cache_obj.Set("bytes",
-                    JsonValue::Number(
-                        static_cast<double>(cache.memory_bytes())));
-    }
-    obj.Set("tuple_cache", std::move(cache_obj));
+  JsonValue accel_obj = JsonValue::Object();
+  const EtiAccel* accel = matcher_->eti().accelerator();
+  accel_obj.Set("present", JsonValue::Bool(accel != nullptr));
+  if (accel != nullptr) {
+    accel_obj.Set("complete", JsonValue::Bool(accel->complete()));
+    accel_obj.Set("entries",
+                  JsonValue::Number(
+                      static_cast<double>(accel->entry_count())));
+    accel_obj.Set("bytes",
+                  JsonValue::Number(
+                      static_cast<double>(accel->memory_bytes())));
   }
+  obj.Set("accel", std::move(accel_obj));
 
-  if (sharded_ != nullptr) {
-    JsonValue shards = JsonValue::Array();
-    for (size_t k = 0; k < sharded_->num_shards(); ++k) {
-      const FuzzyMatcher& shard = sharded_->router().shard(k);
-      const std::string suffix = "_s" + std::to_string(k);
-      JsonValue s = JsonValue::Object();
-      s.Set("index", JsonValue::Number(static_cast<double>(k)));
-      s.Set("tuples", JsonValue::Number(static_cast<double>(
-                          shard.reference().row_count())));
-      s.Set("queue_depth", JsonValue::Number(static_cast<double>(
-                               sharded_->queue_depth(k))));
-      s.Set("queries", counter("shard.queries" + suffix));
-      s.Set("candidates", counter("shard.candidates" + suffix));
-      s.Set("osc_short_circuits",
-            counter("shard.osc_short_circuits" + suffix));
-      s.Set("accel_present",
-            JsonValue::Bool(shard.eti().accelerator() != nullptr));
-      shards.Append(std::move(s));
-    }
-    obj.Set("shards", std::move(shards));
+  JsonValue cache_obj = JsonValue::Object();
+  const TupleCache& cache = matcher_->eti_matcher().tuple_cache();
+  cache_obj.Set("enabled", JsonValue::Bool(cache.enabled()));
+  if (cache.enabled()) {
+    cache_obj.Set("entries",
+                  JsonValue::Number(
+                      static_cast<double>(cache.entry_count())));
+    cache_obj.Set("bytes",
+                  JsonValue::Number(
+                      static_cast<double>(cache.memory_bytes())));
   }
+  obj.Set("tuple_cache", std::move(cache_obj));
 
   JsonValue rec_obj = JsonValue::Object();
   rec_obj.Set("recorded", JsonValue::Number(

@@ -50,10 +50,6 @@
 #include "server/protocol.h"
 
 namespace fuzzymatch {
-namespace shard {
-class ShardedMatcher;
-}  // namespace shard
-
 namespace server {
 
 struct ServerOptions {
@@ -104,12 +100,6 @@ class MatchServer {
   /// constructs its own BatchCleaner from `clean_options`.
   MatchServer(const FuzzyMatcher* matcher, BatchCleaner::Options clean_options,
               ServerOptions options);
-
-  /// Sharded deployment: hosts the scatter/gather coordinator (and the
-  /// shard engines behind it) in-process behind the same worker pool;
-  /// statusz grows a per-shard section.
-  MatchServer(const shard::ShardedMatcher* matcher,
-              BatchCleaner::Options clean_options, ServerOptions options);
 
   /// Calls Shutdown() if the server is still running.
   ~MatchServer();
@@ -185,16 +175,7 @@ class MatchServer {
   /// Joins and erases finished connection threads.
   void ReapConnections();
 
-  /// Shared tail of the two public constructors.
-  MatchServer(const MatchSource* source, const FuzzyMatcher* single,
-              const shard::ShardedMatcher* sharded,
-              BatchCleaner::Options clean_options, ServerOptions options);
-
-  /// The query path; exactly one of single_/sharded_ backs it (kept for
-  /// topology-specific introspection in statusz).
-  const MatchSource* source_;
-  const FuzzyMatcher* single_;
-  const shard::ShardedMatcher* sharded_;
+  const FuzzyMatcher* matcher_;
   BatchCleaner cleaner_;
   ServerOptions options_;
 

@@ -1,10 +1,9 @@
-// Live-introspection tests: statusz/tracez JSON shape (single-engine and
-// sharded), slow-query capture via an injected sleep failpoint, and
-// error-trace retention with the failing status — all over real sockets.
+// Live-introspection tests: statusz/tracez JSON shape, slow-query capture
+// via an injected sleep failpoint, and error-trace retention with the
+// failing status — all over real sockets.
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,9 +13,6 @@
 #include "server/client.h"
 #include "server/json.h"
 #include "server/server.h"
-#include "shard/shard_router.h"
-#include "shard/sharded_matcher.h"
-#include "support/counter_delta.h"
 
 namespace fuzzymatch {
 namespace server {
@@ -158,63 +154,6 @@ TEST_F(IntrospectionTest, StatuszReportsServerState) {
   EXPECT_GT(process->Find("rss_bytes")->number_value(), 0.0);
   EXPECT_GT(process->Find("open_fds")->number_value(), 0.0);
   EXPECT_GE(process->Find("uptime_seconds")->number_value(), 0.0);
-}
-
-TEST_F(IntrospectionTest, ShardedStatuszReportsRegistryCounters) {
-  // Every match fans out to both shards, so each shard's statusz row
-  // counts every request; its candidates and OSC short circuits are the
-  // registry's per-shard counters, which add up to the `match.*` ones.
-  shard::ShardRouter::Options shard_options;
-  shard_options.num_shards = 2;
-  auto router =
-      shard::ShardRouter::Build(ref_, FuzzyMatchConfig{}, shard_options);
-  ASSERT_TRUE(router.ok()) << router.status();
-  auto sharded = shard::ShardedMatcher::Create(router->get());
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-  ServerOptions options;
-  options.port = 0;
-  options.workers = 2;
-  MatchServer srv(sharded->get(), BatchCleaner::Options{}, options);
-  ASSERT_TRUE(srv.Start().ok());
-
-  using test_support::CounterDelta;
-  const CounterDelta candidates("match.candidates");
-  const CounterDelta osc_succeeded("match.osc_succeeded");
-  std::vector<CounterDelta> shard_candidates, shard_osc;
-  for (const char* k : {"_s0", "_s1"}) {
-    shard_candidates.emplace_back(std::string("shard.candidates") + k);
-    shard_osc.emplace_back(std::string("shard.osc_short_circuits") + k);
-  }
-  constexpr size_t kRequests = 12;
-  LineClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", srv.port()).ok());
-  for (size_t i = 0; i < kRequests; ++i) {
-    ServeMatch(&client, static_cast<Tid>(i * 37));
-  }
-
-  auto response = client.Roundtrip("statusz");
-  ASSERT_TRUE(response.ok());
-  auto doc = ParseJson(*response);
-  ASSERT_TRUE(doc.ok()) << *response;
-  const JsonValue* shards = doc->Find("shards");
-  ASSERT_NE(shards, nullptr) << *response;
-  ASSERT_EQ(shards->array_items().size(), 2u);
-  double candidate_sum = 0.0, osc_sum = 0.0;
-  for (size_t k = 0; k < 2; ++k) {
-    SCOPED_TRACE("shard " + std::to_string(k));
-    const JsonValue& row = shards->array_items()[k];
-    EXPECT_EQ(row.Find("queries")->number_value(),
-              static_cast<double>(kRequests));
-    EXPECT_EQ(row.Find("candidates")->number_value(),
-              static_cast<double>(shard_candidates[k].value()));
-    EXPECT_EQ(row.Find("osc_short_circuits")->number_value(),
-              static_cast<double>(shard_osc[k].value()));
-    candidate_sum += row.Find("candidates")->number_value();
-    osc_sum += row.Find("osc_short_circuits")->number_value();
-  }
-  EXPECT_EQ(candidate_sum, static_cast<double>(candidates.value()));
-  EXPECT_EQ(osc_sum, static_cast<double>(osc_succeeded.value()));
-  srv.Shutdown();
 }
 
 TEST_F(IntrospectionTest, TracezRetainsRecentQueryWithSpanTree) {

@@ -106,7 +106,7 @@ TEST(ServerStartupTest, UnknownFlagFailsNamingIt) {
   // The reference file does not exist, so a server that ignored the flag
   // would still exit (on the missing file) instead of serving.
   for (const std::string flag :
-       {"--shard 4", "--workrs 2", "--no-such-flag"}) {
+       {"--shard 4", "--shards 4", "--workrs 2", "--no-such-flag"}) {
     SCOPED_TRACE(flag);
     const RunResult run = RunServer(
         "--ref /nonexistent/fm_no_such_file.csv --port 0 " + flag);

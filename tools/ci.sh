@@ -14,14 +14,10 @@
 #                          # sleep, and the tracing-overhead budget
 #   tools/ci.sh buildcheck # parallel ETI build determinism: 1-thread vs
 #                          # 4-thread builds must be byte-identical
-#   tools/ci.sh shardcheck # sharded serving tier: 4-shard match output vs
-#                          # single-engine under the conservative bound
-#                          # policy, sharded test suite under TSan, and a
-#                          # bench_serving shard-scaling metrics archive
 #   tools/ci.sh lookupcheck # SIMD vs scalar decode (DESIGN.md 5i): a
 #                          # -DFM_SIMD=OFF build passing tier-1, and its
 #                          # match output byte-identical to the default
-#                          # build's, single-engine and 4-shard
+#                          # build's
 #   tools/ci.sh walcheck   # durability (DESIGN.md 5j): kill-loop at every
 #                          # WAL/pager failpoint vs the acknowledged-op
 #                          # oracle, log-format + group-commit unit suite,
@@ -136,8 +132,8 @@ run_perfsmoke() {
 # span trees, and the Prometheus scrape must carry the process gauges.
 # Then gate the cost of all of it: bench_query_time's A/B mode fails the
 # stage when the span-tree + recorder overhead exceeds the budget, and a
-# small bench_serving run archives its flight-recorder snapshot under
-# bench_results/ for post-hoc inspection.
+# small bench_serving run archives the flight-recorder snapshot of its
+# widest served sweep under bench_results/ for post-hoc inspection.
 run_obscheck() {
   echo "=== [ci] obscheck: tracing, flight recorder, introspection ==="
   cmake -B build-ci-obs -S . -DCMAKE_BUILD_TYPE=Release \
@@ -290,72 +286,6 @@ run_buildcheck() {
   fi
 }
 
-# The sharded tier is a pure topology change: scatter/gather over N
-# per-shard ETI engines must answer exactly what one engine over the
-# whole relation answers. Under the conservative bound policy that
-# equivalence is byte-exact (DESIGN.md 5h), so cmp(1) enforces it over
-# a real CLI round trip; the lossy policies only promise never-worse
-# and are covered by the unit suite. The same suite then runs under
-# ThreadSanitizer — the coordinator's worker pool plus per-shard engines
-# is the newest concurrent surface — and bench_serving archives the
-# shard-scaling rows + shard.* metrics for post-hoc comparison.
-run_shardcheck() {
-  echo "=== [ci] shardcheck: scatter/gather equivalence + TSan + metrics ==="
-  cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-  cmake --build build-ci-release -j "$JOBS" --target \
-        fuzzymatch_cli bench_serving
-  local cli=build-ci-release/tools/fuzzymatch_cli
-  local tmp
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' RETURN
-  "$cli" gen --out "$tmp/ref.csv" --rows 2000 --seed 42
-  "$cli" corrupt --ref "$tmp/ref.csv" --out "$tmp/dirty.csv" --inputs 200
-
-  # A 4-shard build must persist one database file per shard.
-  "$cli" build --ref "$tmp/ref.csv" --db "$tmp/store.fmdb" --tokens \
-        --shards 4
-  for k in 0 1 2 3; do
-    test -s "$tmp/store.fmdb.shard$k"
-  done
-  echo "[ci] 4-shard build persisted store.fmdb.shard{0..3}"
-
-  "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
-        --out "$tmp/out.single.csv" --tokens --bound-policy conservative
-  "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
-        --out "$tmp/out.sharded.csv" --tokens --bound-policy conservative \
-        --shards 4
-  cmp "$tmp/out.single.csv" "$tmp/out.sharded.csv"
-  echo "[ci] match output byte-identical with 1 engine and 4 shards"
-
-  cmake -B build-ci-shard-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DFM_SANITIZE=thread > /dev/null
-  cmake --build build-ci-shard-tsan -j "$JOBS" --target \
-        topk_merge_test shard_router_test sharded_equivalence_test
-  FM_TEST_SEED="${FM_TEST_SEED:-101}" \
-    ctest --test-dir build-ci-shard-tsan --output-on-failure -j "$JOBS" \
-        -R 'TopKMergeTest|ShardOfTidTest|ShardRouterTest|ShardedEquivalenceTest'
-
-  # Archive the shard-scaling sweep (QPS at 1/2/4/8 shards plus the
-  # shard.* gauge family) next to the other bench artifacts.
-  mkdir -p bench_results
-  FM_REF_SIZE=2000 FM_NUM_INPUTS=150 FM_MAX_WORKERS=2 \
-    FM_METRICS_DIR=bench_results \
-    build-ci-release/bench/bench_serving
-  mv bench_results/bench_serving.metrics.json \
-     bench_results/bench_serving.sharded.metrics.json
-  python3 - bench_results/bench_serving.sharded.metrics.json <<'PYEOF'
-import json, sys
-metrics = json.load(open(sys.argv[1]))
-names = set(metrics["counters"]) | set(metrics["gauges"]) \
-        | set(metrics["histograms"])
-for want in ("bench_serving.sharded_qps_s1", "bench_serving.sharded_qps_s4",
-             "shard.fanout_tasks", "shard.queries_s0", "shard.merge_seconds"):
-    assert want in names, f"sharded metrics archive missing {want}"
-print("[ci] sharded metrics archived: "
-      "bench_results/bench_serving.sharded.metrics.json")
-PYEOF
-}
-
 # The durability contract (DESIGN.md 5j), enforced end to end: the
 # kill-loop arms every WAL and pager failpoint in turn, runs the durable
 # maintenance workload until the simulated power loss fires, reopens, and
@@ -402,9 +332,7 @@ PYEOF
 # follows the CPU, and the scalar kernel must give the same answers. A
 # -DFM_SIMD=OFF build (only the scalar kernel, the non-x86 configuration)
 # must pass tier-1 on its own, and its CLI match output must be
-# byte-identical to the default Release build's, single-engine and
-# through the 4-shard scatter/gather tier (conservative bound policy,
-# the configuration where sharded output is byte-exact).
+# byte-identical to the default Release build's.
 run_lookupcheck() {
   echo "=== [ci] lookupcheck: SIMD vs scalar decode parity + FM_SIMD=OFF ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
@@ -424,13 +352,9 @@ run_lookupcheck() {
   for build in release nosimd; do
     "build-ci-$build/tools/fuzzymatch_cli" match --ref "$tmp/ref.csv" \
           --input "$tmp/dirty.csv" --out "$tmp/out.$build.csv" --tokens
-    "build-ci-$build/tools/fuzzymatch_cli" match --ref "$tmp/ref.csv" \
-          --input "$tmp/dirty.csv" --out "$tmp/out.$build.s4.csv" --tokens \
-          --bound-policy conservative --shards 4
   done
   cmp "$tmp/out.release.csv" "$tmp/out.nosimd.csv"
-  cmp "$tmp/out.release.s4.csv" "$tmp/out.nosimd.s4.csv"
-  echo "[ci] match output byte-identical with SIMD and scalar decode (1 and 4 shards)"
+  echo "[ci] match output byte-identical with SIMD and scalar decode"
 }
 
 case "$STAGE" in
@@ -441,7 +365,6 @@ case "$STAGE" in
   perfsmoke)  run_perfsmoke ;;
   obscheck)   run_obscheck ;;
   buildcheck) run_buildcheck ;;
-  shardcheck) run_shardcheck ;;
   lookupcheck) run_lookupcheck ;;
   walcheck)   run_walcheck ;;
   all)
@@ -452,12 +375,11 @@ case "$STAGE" in
     run_perfsmoke
     run_obscheck
     run_buildcheck
-    run_shardcheck
     run_lookupcheck
     run_walcheck
     ;;
   *)
-    echo "usage: tools/ci.sh [release|tsan|asan|faultcheck|perfsmoke|obscheck|buildcheck|shardcheck|lookupcheck|walcheck|all]" >&2
+    echo "usage: tools/ci.sh [release|tsan|asan|faultcheck|perfsmoke|obscheck|buildcheck|lookupcheck|walcheck|all]" >&2
     exit 2
     ;;
 esac

@@ -12,13 +12,11 @@
 //   fuzzymatch_cli build   --ref ref.csv --db store.fmdb
 //                          [--q N] [--h N] [--tokens]
 //                          [--build-threads N] [--temp-dir DIR]
-//                          [--sort-budget-kb KB] [--shards N]
+//                          [--sort-budget-kb KB]
 //       Loads the reference CSV into a file-backed database, builds the
 //       ETI with the requested parallelism, and checkpoints. The
 //       persisted file is byte-identical for every --build-threads
 //       value, which the CI buildcheck stage verifies with cmp(1).
-//       --shards N instead hash-partitions the relation by tid into N
-//       shard databases at store.fmdb.shard<k>, each with its own ETI.
 //
 //   fuzzymatch_cli match   --ref ref.csv --input dirty.csv --out out.csv
 //                          [--q N] [--h N] [--tokens] [--k N]
@@ -26,19 +24,13 @@
 //                          [--threads N] [--build-threads N]
 //                          [--temp-dir DIR] [--metrics [FILE]]
 //                          [--accel-budget-mb MB] [--tuple-cache-mb MB]
-//                          [--shards N] [--bound-policy P] [--verbose]
+//                          [--bound-policy P] [--verbose]
 //       Builds an Error Tolerant Index over the reference CSV and batch-
 //       cleans the input CSV. The output repeats each input row and
 //       appends: outcome (validated/corrected/routed), similarity, and
 //       the matched reference row. --threads N fans the batch out over N
 //       worker threads on the concurrent query path; routing decisions
 //       and output row order are identical to the serial run.
-//
-//       --shards N serves the batch through the scatter/gather tier
-//       (N per-shard engines, top-K merge) instead of one engine.
-//       Under --bound-policy conservative the sharded output is byte-
-//       identical to the single-engine run, which the CI shardcheck
-//       stage verifies with cmp(1).
 //
 //       --metrics dumps the process-wide metrics registry (buffer-pool
 //       hit rates, pages read, ETI probes, OSC outcomes, per-phase span
@@ -78,8 +70,6 @@
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/json.h"
-#include "shard/shard_router.h"
-#include "shard/sharded_matcher.h"
 
 using namespace fuzzymatch;
 
@@ -271,8 +261,7 @@ Status CmdCorrupt(const Args& args) {
 }
 
 /// --bound-policy aggressive|tight|conservative (the per-candidate
-/// upper-bound flavour of DESIGN.md 5e; conservative is the one under
-/// which sharded output is provably byte-identical to single-database).
+/// upper-bound flavour of DESIGN.md 5e).
 Status ApplyBoundPolicy(const Args& args, FuzzyMatchConfig* config) {
   const std::string policy = args.Get("bound-policy", "aggressive");
   if (policy == "aggressive") {
@@ -295,57 +284,20 @@ Status CmdBuild(const Args& args) {
   if (ref_path.empty() || db_path.empty()) {
     return Status::InvalidArgument("build requires --ref and --db");
   }
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("shards", 1)));
-  FuzzyMatchConfig config;
-  config.eti.q = static_cast<int>(args.GetInt("q", 4));
-  config.eti.signature_size = static_cast<int>(args.GetInt("h", 3));
-  config.eti.index_tokens = args.Has("tokens");
-  config.build_threads = static_cast<int>(args.GetInt("build-threads", 1));
-  config.temp_dir = args.Get("temp-dir", "");
-  config.sort_memory_bytes =
+  EtiBuilder::Options options;
+  options.params.q = static_cast<int>(args.GetInt("q", 4));
+  options.params.signature_size = static_cast<int>(args.GetInt("h", 3));
+  options.params.index_tokens = args.Has("tokens");
+  options.build_threads = static_cast<int>(args.GetInt("build-threads", 1));
+  options.temp_dir = args.Get("temp-dir", "");
+  options.sort_memory_bytes =
       static_cast<size_t>(args.GetInt("sort-budget-kb", 64 * 1024)) << 10;
-  FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
   FM_RETURN_IF_ERROR(args.RejectUnread());
-  if (shards > 1) {
-    // Sharded build: the reference CSV is staged in memory, hash-
-    // partitioned by tid, and persisted as one database per shard at
-    // <db>.shard<k> — each with its own ETI.
-    FM_ASSIGN_OR_RETURN(auto staging,
-                        Database::Open(DatabaseOptions{
-                            .path = "", .pool_pages = 64 * 1024}));
-    FM_ASSIGN_OR_RETURN(Table * ref,
-                        LoadCsvTable(staging.get(), "ref", ref_path));
-    shard::ShardRouter::Options options;
-    options.num_shards = shards;
-    options.db_path_base = db_path;
-    FM_ASSIGN_OR_RETURN(const auto router,
-                        shard::ShardRouter::Build(ref, config, options));
-    FM_RETURN_IF_ERROR(router->Checkpoint());
-    std::printf("built %zu shard databases (ETI %s) over %llu tuples:\n",
-                shards, config.eti.StrategyName().c_str(),
-                static_cast<unsigned long long>(
-                    router->total_reference_tuples()));
-    for (size_t k = 0; k < shards; ++k) {
-      std::printf("  %s: %llu tuples, %llu ETI rows\n",
-                  shard::ShardDbPath(db_path, k).c_str(),
-                  static_cast<unsigned long long>(
-                      router->shard(k).reference().row_count()),
-                  static_cast<unsigned long long>(
-                      router->shard(k).build_stats().eti_rows));
-    }
-    return Status::OK();
-  }
   FM_ASSIGN_OR_RETURN(auto db, Database::Open(DatabaseOptions{
                                    .path = db_path, .pool_pages = 64 * 1024}));
   FM_ASSIGN_OR_RETURN(Table * ref,
                       LoadCsvTable(db.get(), "ref", ref_path));
 
-  EtiBuilder::Options options;
-  options.params = config.eti;
-  options.build_threads = config.build_threads;
-  options.temp_dir = config.temp_dir;
-  options.sort_memory_bytes = config.sort_memory_bytes;
   FM_ASSIGN_OR_RETURN(const BuiltEti built,
                       EtiBuilder::Build(db.get(), ref, options));
   FM_RETURN_IF_ERROR(db->Checkpoint());
@@ -395,8 +347,6 @@ Status CmdMatch(const Args& args) {
           static_cast<int64_t>(config.matcher.tuple_cache_bytes >> 20)))
       << 20;
   FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("shards", 1)));
   BatchCleaner::Options clean_options;
   clean_options.load_threshold = args.GetDouble("load-threshold", 0.8);
   const size_t threads =
@@ -413,36 +363,13 @@ Status CmdMatch(const Args& args) {
               static_cast<unsigned long long>(ref->row_count()),
               ref_path.c_str());
 
-  // Either one engine over the whole relation, or a scatter/gather tier
-  // of per-shard engines behind the same MatchSource interface; the
-  // output CSV format is identical either way.
-  std::unique_ptr<FuzzyMatcher> matcher;
-  std::unique_ptr<shard::ShardRouter> router;
-  std::unique_ptr<shard::ShardedMatcher> sharded;
-  const MatchSource* source = nullptr;
-  if (shards > 1) {
-    shard::ShardRouter::Options router_options;
-    router_options.num_shards = shards;
-    FM_ASSIGN_OR_RETURN(router,
-                        shard::ShardRouter::Build(ref, config, router_options));
-    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(router.get()));
-    source = sharded.get();
-    double build_seconds = 0.0;
-    for (size_t k = 0; k < shards; ++k) {
-      build_seconds += router->shard(k).build_stats().total_seconds;
-    }
-    std::printf("built %zu shard ETIs (%s) in %.2fs\n", shards,
-                config.eti.StrategyName().c_str(), build_seconds);
-  } else {
-    FM_ASSIGN_OR_RETURN(matcher,
-                        FuzzyMatcher::Build(db.get(), "ref", config));
-    source = matcher.get();
-    std::printf("built ETI %s in %.2fs (%llu rows)\n",
-                config.eti.StrategyName().c_str(),
-                matcher->build_stats().total_seconds,
-                static_cast<unsigned long long>(
-                    matcher->build_stats().eti_rows));
-  }
+  FM_ASSIGN_OR_RETURN(const auto matcher,
+                      FuzzyMatcher::Build(db.get(), "ref", config));
+  std::printf("built ETI %s in %.2fs (%llu rows)\n",
+              config.eti.StrategyName().c_str(),
+              matcher->build_stats().total_seconds,
+              static_cast<unsigned long long>(
+                  matcher->build_stats().eti_rows));
 
   // Read the input feed (tolerating an extra trailing audit column).
   std::ifstream in(input_path);
@@ -486,7 +413,7 @@ Status CmdMatch(const Args& args) {
   }
   writer.Write(header);
 
-  const BatchCleaner cleaner(source, clean_options);
+  const BatchCleaner cleaner(matcher.get(), clean_options);
   FM_ASSIGN_OR_RETURN(
       const CleanStats stats,
       cleaner.CleanBatchParallel(
@@ -664,13 +591,12 @@ void PrintUsage() {
       "          [--profile D1|D2|D3] [--seed S] [--seeds]\n"
       "  build   --ref ref.csv --db store.fmdb\n"
       "          [--q N] [--h N] [--tokens] [--build-threads N]\n"
-      "          [--temp-dir DIR] [--sort-budget-kb KB] [--shards N]\n"
+      "          [--temp-dir DIR] [--sort-budget-kb KB]\n"
       "  match   --ref ref.csv --input dirty.csv --out out.csv\n"
       "          [--q N] [--h N] [--tokens] [--k N] [--threshold C]\n"
       "          [--load-threshold C] [--threads N] [--build-threads N]\n"
       "          [--temp-dir DIR] [--metrics [FILE]]\n"
       "          [--accel-budget-mb MB] [--tuple-cache-mb MB]\n"
-      "          [--shards N]\n"
       "          [--bound-policy aggressive|tight|conservative]\n"
       "          [--verbose]\n"
       "  trace   --port P [--host A] [--limit N] [--json]\n");

@@ -16,8 +16,7 @@
 // bench_results/. --watch polls the server's statusz and tracez
 // endpoints on a side connection during the run and prints one live line
 // per interval (busy workers, queue depth, shed/error counts, flight-
-// recorder slow/error outliers, RSS, and — against a sharded server —
-// the per-shard scatter-queue depths).
+// recorder slow/error outliers, and RSS).
 
 #include <algorithm>
 #include <atomic>
@@ -259,30 +258,16 @@ void WatchLoop(const std::string& host, uint16_t port, double interval_s,
         }
       }
     }
-    // Sharded servers expose one statusz entry per shard; the live line
-    // shows each shard's scatter-queue depth.
-    std::string shard_queues;
-    if (const server::JsonValue* shards = doc->Find("shards");
-        shards != nullptr && shards->is_array()) {
-      for (const server::JsonValue& one : shards->array_items()) {
-        if (!shard_queues.empty()) shard_queues.push_back(',');
-        const server::JsonValue* depth = one.Find("queue_depth");
-        shard_queues += StringPrintf(
-            "%.0f", depth != nullptr ? depth->number_value() : 0.0);
-      }
-    }
     std::printf(
         "[watch] up=%.0fs busy=%zu/%zu queue=%.0f/%.0f shed=%.0f "
-        "errors=%.0f outliers=%.0f slow/%.0f err rss=%.0fMB%s%s%s\n",
+        "errors=%.0f outliers=%.0f slow/%.0f err rss=%.0fMB\n",
         doc->Find("uptime_seconds") != nullptr
             ? doc->Find("uptime_seconds")->number_value()
             : 0.0,
         busy, workers, number_at("queue", "depth"),
         number_at("queue", "capacity"), number_at("counters", "shed"),
         number_at("counters", "query_errors"), trace_slow, trace_errors,
-        number_at("process", "rss_bytes") / (1 << 20),
-        shard_queues.empty() ? "" : " shardq=[",
-        shard_queues.c_str(), shard_queues.empty() ? "" : "]");
+        number_at("process", "rss_bytes") / (1 << 20));
     std::fflush(stdout);
     // Sleep in small steps so shutdown is prompt.
     for (double slept = 0.0;

@@ -6,7 +6,6 @@
 //                     [--q N] [--h N] [--tokens] [--k N] [--threshold C]
 //                     [--load-threshold C]
 //                     [--accel-budget-mb MB] [--tuple-cache-mb MB]
-//                     [--shards N]
 //                     [--db PATH] [--wal-fsync always|group|never]
 //                     [--verbose]
 //
@@ -56,8 +55,6 @@
 #include "obs/process_metrics.h"
 #include "obs/trace.h"
 #include "server/server.h"
-#include "shard/shard_router.h"
-#include "shard/sharded_matcher.h"
 #include "storage/wal.h"
 
 using namespace fuzzymatch;
@@ -290,9 +287,6 @@ Status Run(const Args& args) {
   // tools/ci.sh obscheck injects a sleep to exercise slow-query capture).
   FM_RETURN_IF_ERROR(fault::ArmFromEnv());
 
-  FM_ASSIGN_OR_RETURN(
-      const int64_t shards, GetIntInRange(args, "shards", 1, 1, 1024));
-
   DatabaseOptions db_options;
   db_options.path = args.Get("db", "");
   db_options.pool_pages = 64 * 1024;
@@ -322,66 +316,37 @@ Status Run(const Args& args) {
       .Field("path", reattached ? db_options.path : ref_path)
       .Field("reattached", reattached);
 
-  // Single-database engine, or a scatter/gather tier of per-shard
-  // engines hosted in-process — the protocol surface is identical and
-  // statusz grows a per-shard section.
-  std::unique_ptr<FuzzyMatcher> matcher;
-  std::unique_ptr<shard::ShardRouter> router;
-  std::unique_ptr<shard::ShardedMatcher> sharded;
-  if (shards > 1) {
-    shard::ShardRouter::Options router_options;
-    router_options.num_shards = static_cast<size_t>(shards);
-    FM_ASSIGN_OR_RETURN(router,
-                        shard::ShardRouter::Build(ref, config, router_options));
-    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(router.get()));
-    for (size_t k = 0; k < router->num_shards(); ++k) {
-      FM_SLOG(Info, "server.shard_built")
-          .Field("shard", static_cast<uint64_t>(k))
-          .Field("tuples", router->shard(k).reference().row_count())
-          .Field("seconds", router->shard(k).build_stats().total_seconds);
-    }
-  } else {
-    // On a reattach the persisted ETI already exists; Open() attaches to
-    // it instead of paying the build again.
-    Result<std::unique_ptr<FuzzyMatcher>> built =
-        FuzzyMatcher::Build(db.get(), "ref", config);
-    if (!built.ok() && built.status().IsAlreadyExists()) {
-      built = FuzzyMatcher::Open(db.get(), "ref", config.eti.StrategyName(),
-                                 config);
-    }
-    FM_ASSIGN_OR_RETURN(matcher, std::move(built));
-    FM_SLOG(Info, "server.eti_built")
-        .Field("strategy", config.eti.StrategyName())
-        .Field("seconds", matcher->build_stats().total_seconds)
-        .Field("rows", matcher->build_stats().eti_rows);
-    if (const EtiAccel* accel = matcher->eti().accelerator()) {
-      FM_SLOG(Info, "server.accel_attached")
-          .Field("entries", static_cast<uint64_t>(accel->entry_count()))
-          .Field("bytes", static_cast<uint64_t>(accel->memory_bytes()))
-          .Field("complete", accel->complete());
-    }
+  // On a reattach the persisted ETI already exists; Open() attaches to
+  // it instead of paying the build again.
+  Result<std::unique_ptr<FuzzyMatcher>> built =
+      FuzzyMatcher::Build(db.get(), "ref", config);
+  if (!built.ok() && built.status().IsAlreadyExists()) {
+    built = FuzzyMatcher::Open(db.get(), "ref", config.eti.StrategyName(),
+                               config);
+  }
+  FM_ASSIGN_OR_RETURN(const auto matcher, std::move(built));
+  FM_SLOG(Info, "server.eti_built")
+      .Field("strategy", config.eti.StrategyName())
+      .Field("seconds", matcher->build_stats().total_seconds)
+      .Field("rows", matcher->build_stats().eti_rows);
+  if (const EtiAccel* accel = matcher->eti().accelerator()) {
+    FM_SLOG(Info, "server.accel_attached")
+        .Field("entries", static_cast<uint64_t>(accel->entry_count()))
+        .Field("bytes", static_cast<uint64_t>(accel->memory_bytes()))
+        .Field("complete", accel->complete());
   }
 
   // Graceful drain must not lose acknowledged maintenance: after the
   // last response flushes, group-commit and fsync the WAL.
   options.drain_flush = [db = db.get()] { return db->FlushWal(); };
-  if (matcher != nullptr) {
-    options.rebuild_handler = [m = matcher.get()] { return m->RebuildEti(); };
-  }
+  options.rebuild_handler = [m = matcher.get()] { return m->RebuildEti(); };
 
-  std::unique_ptr<server::MatchServer> srv;
-  if (sharded != nullptr) {
-    srv = std::make_unique<server::MatchServer>(sharded.get(),
-                                                clean_options, options);
-  } else {
-    srv = std::make_unique<server::MatchServer>(matcher.get(),
-                                                clean_options, options);
-  }
+  server::MatchServer srv(matcher.get(), clean_options, options);
 
   if (::pipe(g_stop_pipe) != 0) {
     return Status::IOError("pipe: " + std::string(std::strerror(errno)));
   }
-  g_server = srv.get();
+  g_server = &srv;
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = HandleStopSignal;
@@ -389,11 +354,11 @@ Status Run(const Args& args) {
   ::sigaction(SIGINT, &sa, nullptr);
   ::signal(SIGPIPE, SIG_IGN);
 
-  FM_RETURN_IF_ERROR(srv->Start());
+  FM_RETURN_IF_ERROR(srv.Start());
   const obs::BuildInfo& build = obs::GetBuildInfo();
   FM_SLOG(Info, "server.start")
       .Field("host", options.host)
-      .Field("port", static_cast<uint64_t>(srv->port()))
+      .Field("port", static_cast<uint64_t>(srv.port()))
       .Field("workers", static_cast<uint64_t>(options.workers))
       .Field("queue", static_cast<uint64_t>(options.queue_capacity))
       .Field("slow_trace_ms", options.slow_trace_ms)
@@ -404,7 +369,7 @@ Status Run(const Args& args) {
   // shows where to connect.
   std::printf("serving on %s:%u (%zu workers, queue %zu); "
               "SIGTERM drains gracefully\n",
-              options.host.c_str(), srv->port(), options.workers,
+              options.host.c_str(), srv.port(), options.workers,
               options.queue_capacity);
   std::fflush(stdout);
 
@@ -413,7 +378,7 @@ Status Run(const Args& args) {
   while (::read(g_stop_pipe[0], &byte, 1) < 0 && errno == EINTR) {
   }
   FM_SLOG(Info, "server.drain");
-  srv->Shutdown();
+  srv.Shutdown();
   g_server = nullptr;
   auto& reg = obs::MetricsRegistry::Global();
   FM_SLOG(Info, "server.stop")
@@ -429,7 +394,7 @@ void PrintUsage() {
       "         [--workers N] [--queue N] [--max-conns N]\n"
       "         [--idle-timeout-ms N] [--q N] [--h N] [--tokens] [--k N]\n"
       "         [--threshold C] [--load-threshold C] [--build-threads N]\n"
-      "         [--accel-budget-mb MB] [--tuple-cache-mb MB] [--shards N]\n"
+      "         [--accel-budget-mb MB] [--tuple-cache-mb MB]\n"
       "         [--db PATH] [--wal-fsync always|group|never]\n"
       "         [--slow-trace-ms N] [--recorder-capacity N] [--no-trace]\n"
       "         [--verbose]\n"
