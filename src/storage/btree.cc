@@ -76,19 +76,6 @@ PageId InternalChild(std::string_view record) {
   return child;
 }
 
-// The leftmost-child pointer uses the reserved header bytes [12, 16).
-constexpr size_t kLeftmostOff = 12;
-
-PageId GetLeftmostChild(const Page& page) {
-  PageId id;
-  std::memcpy(&id, page.data() + kLeftmostOff, 4);
-  return id;
-}
-
-void SetLeftmostChild(Page& page, PageId child) {
-  std::memcpy(page.data() + kLeftmostOff, &child, 4);
-}
-
 uint16_t LowerBound(const Page& page, std::string_view key, bool is_leaf) {
   uint16_t lo = 0;
   uint16_t hi = page.slot_count();
@@ -143,7 +130,7 @@ Result<PageId> BPlusTree::FindLeaf(std::string_view key) const {
       }
     }
     if (idx == 0) {
-      node = GetLeftmostChild(page);
+      node = page.leftmost_child();
     } else {
       node = InternalChild(*page.Get(static_cast<uint16_t>(idx - 1)));
     }
@@ -192,7 +179,7 @@ Status BPlusTree::PutImpl(std::string_view key, std::string_view value,
     FM_ASSIGN_OR_RETURN(PageGuard guard, pool_->New());
     Page page = guard.page();
     page.Init(PageType::kBTreeInternal);
-    SetLeftmostChild(page, root_);
+    page.set_leftmost_child(root_);
     const std::string entry =
         EncodeInternalEntry(split->separator, split->right);
     FM_CHECK(page.InsertAt(0, entry));
@@ -253,7 +240,7 @@ Status BPlusTree::InsertInto(PageId node, std::string_view key,
   if (idx < page.slot_count() && InternalKey(*page.Get(idx)) == key) {
     child = InternalChild(*page.Get(idx));
   } else if (idx == 0) {
-    child = GetLeftmostChild(page);
+    child = page.leftmost_child();
   } else {
     child = InternalChild(*page.Get(static_cast<uint16_t>(idx - 1)));
   }
@@ -348,7 +335,7 @@ Status BPlusTree::SplitInternal(PageGuard& guard,
   FM_CHECK(mid_rec.has_value());
   SplitResult result;
   result.separator = std::string(InternalKey(*mid_rec));
-  SetLeftmostChild(right, InternalChild(*mid_rec));
+  right.set_leftmost_child(InternalChild(*mid_rec));
 
   for (uint16_t i = static_cast<uint16_t>(mid + 1); i < count; ++i) {
     const auto rec = left.Get(i);
@@ -390,7 +377,7 @@ Result<PageId> BPlusTree::LeftmostLeaf() const {
     if (page.type() == PageType::kBTreeLeaf) {
       return node;
     }
-    node = GetLeftmostChild(page);
+    node = page.leftmost_child();
   }
 }
 
@@ -414,7 +401,7 @@ Result<int> BPlusTree::Height() const {
     if (page.type() == PageType::kBTreeLeaf) {
       return h;
     }
-    node = GetLeftmostChild(page);
+    node = page.leftmost_child();
     ++h;
   }
 }

@@ -6,8 +6,9 @@
 // produced by KeyEncoder so byte order matches logical order.
 //
 // Layout: internal nodes store (separator, child) entries plus a leftmost
-// child; leaves store (key, value) entries and are chained left-to-right
-// for range scans. Node pages keep their slot directory sorted by key.
+// child in the page header (Page::leftmost_child); leaves store (key,
+// value) entries and are chained left-to-right for range scans. Node
+// pages keep their slot directory sorted by key.
 //
 // Keys are unique. Deletion removes the entry without rebalancing
 // (underfull pages are tolerated, as in several production engines); the
@@ -141,10 +142,6 @@ std::string_view LeafValue(std::string_view record);
 std::string EncodeInternalEntry(std::string_view key, PageId child);
 std::string_view InternalKey(std::string_view record);
 PageId InternalChild(std::string_view record);
-
-/// Leftmost child of an internal node lives in the reserved header bytes.
-PageId GetLeftmostChild(const Page& page);
-void SetLeftmostChild(Page& page, PageId child);
 
 /// Binary search over a sorted node: index of the first entry whose key is
 /// >= `key` (== slot_count() if none). `is_leaf` selects the key accessor.

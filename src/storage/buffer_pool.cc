@@ -251,22 +251,22 @@ Status BufferPool::CommitWalTxn() {
     return Status::OK();
   }
   FM_FAIL_POINT("wal.commit");
-  // After-images: resident frames carry the latest bytes; stolen pages
-  // were flushed to the main file, which therefore does.
-  std::vector<std::unique_ptr<char[]>> images;
-  std::vector<std::pair<PageId, char*>> batch;
-  images.reserve(txn_dirtied_.size());
+  // After-images: resident frames carry the latest bytes and are logged
+  // in place (mu_ keeps them from being evicted meanwhile); a stolen page
+  // was flushed to the main file, so it is read back from there.
+  std::vector<std::unique_ptr<char[]>> stolen;
+  std::vector<std::pair<PageId, const char*>> batch;
   batch.reserve(txn_dirtied_.size());
   for (const PageId id : txn_dirtied_) {
-    auto img = std::make_unique<char[]>(kPageSize);
     const auto it = page_to_frame_.find(id);
     if (it != page_to_frame_.end()) {
-      std::memcpy(img.get(), frames_[it->second].data.get(), kPageSize);
-    } else {
-      FM_RETURN_IF_ERROR(pager_->ReadPage(id, img.get()));
+      batch.emplace_back(id, frames_[it->second].data.get());
+      continue;
     }
+    auto img = std::make_unique<char[]>(kPageSize);
+    FM_RETURN_IF_ERROR(pager_->ReadPage(id, img.get()));
     batch.emplace_back(id, img.get());
-    images.push_back(std::move(img));
+    stolen.push_back(std::move(img));
   }
   if (!batch.empty()) {
     // Blocks until the batch plus its commit record are durable. On error
@@ -276,9 +276,7 @@ Status BufferPool::CommitWalTxn() {
     for (const auto& [id, img] : batch) {
       const auto it = page_to_frame_.find(id);
       if (it != page_to_frame_.end()) {
-        Frame& fr = frames_[it->second];
-        Page(fr.data.get()).set_lsn(Page(img).lsn());
-        fr.txn_dirty = false;
+        frames_[it->second].txn_dirty = false;
       }
     }
   }

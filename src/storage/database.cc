@@ -102,8 +102,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     fresh_file = db->pager_->page_count() == 0;
   }
 
-  const bool use_wal = !fresh_memory && options.enable_wal;
-  if (use_wal && !fresh_file) {
+  if (!fresh_memory && !fresh_file) {
     // Recovery: redo the committed log prefix onto the raw pager, before
     // the buffer pool can cache stale pages. The identity guard inside
     // Replay() discards a log that does not belong to this exact file
@@ -141,22 +140,19 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     db->SweepRebuildOrphans();
   }
 
-  if (use_wal) {
+  if (!fresh_memory) {
     const uint64_t start_lsn =
         std::max(db->replay_stats_.next_lsn, db->checkpoint_lsn_);
     FM_ASSIGN_OR_RETURN(
         db->wal_,
         Wal::Open(WalPathFor(options.path), db->db_id_, start_lsn,
-                  WalOptions{options.wal_fsync, options.wal_group_window_us}));
+                  options.wal_fsync));
     db->pool_->SetWal(db->wal_.get());
     db->checkpoint_lsn_ = start_lsn;
     // Re-establish the invariant `catalog checkpoint_lsn == log start`:
     // the log was just reset (its old content is durable in the main
     // file), so the catalog must say so before any new commit.
     FM_RETURN_IF_ERROR(db->Checkpoint());
-  }
-
-  if (!fresh_memory) {
     db->SweepTempFiles();
   }
   return db;

@@ -32,14 +32,11 @@ struct DatabaseOptions {
   std::string path;
   /// Buffer pool capacity in pages (8 KiB each).
   size_t pool_pages = 4096;
-  /// Write-ahead logging for maintenance transactions (file-backed
-  /// stores only; in-memory stores never log). The log lives at
-  /// `<path>.wal` and is replayed by Open() after a crash.
-  bool enable_wal = true;
-  /// When the log fsyncs (the `--wal-fsync` server flag).
+  /// When the write-ahead log fsyncs (the `--wal-fsync` server flag).
+  /// Every file-backed store logs its maintenance transactions to
+  /// `<path>.wal`, replayed by Open() after a crash; in-memory stores
+  /// never log.
   WalFsyncMode wal_fsync = WalFsyncMode::kGroup;
-  /// Group-commit accumulation window, microseconds.
-  uint32_t wal_group_window_us = 100;
 };
 
 /// One storage namespace.
@@ -118,8 +115,7 @@ class Database {
 
   BufferPool* buffer_pool() { return pool_.get(); }
 
-  /// The write-ahead log; nullptr for in-memory stores or enable_wal
-  /// = false.
+  /// The write-ahead log; nullptr for in-memory stores.
   Wal* wal() { return wal_.get(); }
 
   /// What log replay did during Open() (zeroes when there was no log).

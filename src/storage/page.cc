@@ -11,26 +11,6 @@ namespace {
 constexpr uint16_t kTombstone = 0xFFFF;
 }
 
-uint16_t Page::ReadU16(size_t off) const {
-  uint16_t v;
-  std::memcpy(&v, data_ + off, sizeof(v));
-  return v;
-}
-
-void Page::WriteU16(size_t off, uint16_t v) {
-  std::memcpy(data_ + off, &v, sizeof(v));
-}
-
-uint32_t Page::ReadU32(size_t off) const {
-  uint32_t v;
-  std::memcpy(&v, data_ + off, sizeof(v));
-  return v;
-}
-
-void Page::WriteU32(size_t off, uint32_t v) {
-  std::memcpy(data_ + off, &v, sizeof(v));
-}
-
 void Page::Init(PageType type) {
   std::memset(data_, 0, kPageSize);
   WriteU16(kTypeOff, static_cast<uint16_t>(type));
@@ -52,10 +32,6 @@ uint16_t Page::slot_count() const { return ReadU16(kSlotCountOff); }
 PageId Page::next_page() const { return ReadU32(kNextPageOff); }
 
 void Page::set_next_page(PageId id) { WriteU32(kNextPageOff, id); }
-
-uint32_t Page::lsn() const { return ReadU32(kLsnOff); }
-
-void Page::set_lsn(uint32_t lsn) { WriteU32(kLsnOff, lsn); }
 
 size_t Page::FreeSpace() const {
   const size_t slots_end = SlotDirOff(slot_count());

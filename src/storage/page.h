@@ -6,6 +6,15 @@
 //
 //   [ header | slot0 slot1 ... ->   free space   <- ... rec1 rec0 ]
 //
+// The 16-byte header is declared here and nowhere else:
+//
+//   [0, 2)    page type
+//   [2, 4)    slot count
+//   [4, 6)    end of free space (record data grows down to it)
+//   [6, 8)    unused
+//   [8, 12)   next page in a chain
+//   [12, 16)  leftmost child (B+-tree internal nodes only)
+//
 // A Page is a non-owning view over such a buffer (the buffer itself lives
 // in a buffer-pool frame).
 
@@ -13,6 +22,7 @@
 #define FUZZYMATCH_STORAGE_PAGE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string_view>
 
@@ -59,12 +69,9 @@ class Page {
   PageId next_page() const;
   void set_next_page(PageId id);
 
-  /// Low 32 bits of the LSN of the last WAL record that logged this page;
-  /// 0 if the page was never committed through the WAL. Observability
-  /// only — recovery redoes full images unconditionally (a torn page can
-  /// carry a fresh LSN over a stale tail).
-  uint32_t lsn() const;
-  void set_lsn(uint32_t lsn);
+  /// B+-tree internal nodes: the child left of the first separator.
+  PageId leftmost_child() const { return ReadU32(kLeftmostChildOff); }
+  void set_leftmost_child(PageId id) { WriteU32(kLeftmostChildOff, id); }
 
   /// Bytes available for one more record of any size (accounts for the
   /// slot directory entry the insert would add).
@@ -116,17 +123,29 @@ class Page {
       kPageSize - kHeaderSize - kSlotSize;
 
  private:
-  uint16_t ReadU16(size_t off) const;
-  void WriteU16(size_t off, uint16_t v);
-  uint32_t ReadU32(size_t off) const;
-  void WriteU32(size_t off, uint32_t v);
+  uint16_t ReadU16(size_t off) const {
+    uint16_t v;
+    std::memcpy(&v, data_ + off, sizeof(v));
+    return v;
+  }
+  void WriteU16(size_t off, uint16_t v) {
+    std::memcpy(data_ + off, &v, sizeof(v));
+  }
+  uint32_t ReadU32(size_t off) const {
+    uint32_t v;
+    std::memcpy(&v, data_ + off, sizeof(v));
+    return v;
+  }
+  void WriteU32(size_t off, uint32_t v) {
+    std::memcpy(data_ + off, &v, sizeof(v));
+  }
 
-  // Header field offsets.
+  // Header field offsets (layout in the file comment).
   static constexpr size_t kTypeOff = 0;
   static constexpr size_t kSlotCountOff = 2;
-  static constexpr size_t kFreeEndOff = 4;   // record data grows down to this
+  static constexpr size_t kFreeEndOff = 4;
   static constexpr size_t kNextPageOff = 8;
-  static constexpr size_t kLsnOff = 12;  // low 32 bits of the last WAL LSN
+  static constexpr size_t kLeftmostChildOff = 12;
 
   // Slot entry: u16 record offset (0xFFFF = tombstone), u16 record length.
   size_t SlotDirOff(SlotId slot) const {

@@ -147,6 +147,10 @@ uint64_t ReadU64(const char* p) {
   return v;
 }
 
+// How long the group-commit leader waits for followers to join its
+// batch before flushing (kGroup mode only).
+constexpr std::chrono::microseconds kGroupWindow{100};
+
 // Record payload sizes: type(1) + lsn(8) + body.
 constexpr size_t kImagePayloadSize = 1 + 8 + 4 + kPageSize;
 constexpr size_t kCommitPayloadSize = 1 + 8 + 4;
@@ -198,7 +202,7 @@ Wal::~Wal() {
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
                                        uint64_t db_id, uint64_t start_lsn,
-                                       WalOptions options) {
+                                       WalFsyncMode fsync_mode) {
   TouchWalMetrics();
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
@@ -209,7 +213,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
   wal->fd_ = fd;
   wal->path_ = path;
   wal->db_id_ = db_id;
-  wal->options_ = options;
+  wal->fsync_mode_ = fsync_mode;
   FM_RETURN_IF_ERROR(wal->Truncate(start_lsn));
   return wal;
 }
@@ -304,11 +308,9 @@ Status Wal::WaitDurable_(std::unique_lock<std::mutex>& lock, uint64_t lsn,
     // Become the leader. In group mode, wait a short window with the lock
     // dropped so concurrent committers can append into the batch.
     flushing_ = true;
-    if (options_.fsync_mode == WalFsyncMode::kGroup &&
-        options_.group_window_us > 0) {
+    if (fsync_mode_ == WalFsyncMode::kGroup) {
       lock.unlock();
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.group_window_us));
+      std::this_thread::sleep_for(kGroupWindow);
       lock.lock();
     }
     std::string batch;
@@ -319,7 +321,7 @@ Status Wal::WaitDurable_(std::unique_lock<std::mutex>& lock, uint64_t lsn,
     pending_commits_ = 0;
     lock.unlock();
     const bool do_fsync =
-        force_fsync || options_.fsync_mode != WalFsyncMode::kNever;
+        force_fsync || fsync_mode_ != WalFsyncMode::kNever;
     const Status s = WriteAndSync_(batch, offset, do_fsync);
     lock.lock();
     flushing_ = false;
@@ -342,12 +344,10 @@ Status Wal::WaitDurable_(std::unique_lock<std::mutex>& lock, uint64_t lsn,
 }
 
 Result<uint64_t> Wal::CommitPages(
-    const std::vector<std::pair<PageId, char*>>& pages) {
+    const std::vector<std::pair<PageId, const char*>>& pages) {
   std::unique_lock<std::mutex> lock(mu_);
   for (const auto& [page_id, image] : pages) {
-    const uint64_t lsn = next_lsn_++;
-    Page(image).set_lsn(static_cast<uint32_t>(lsn));
-    AppendRecordLocked_(kRecPageImage, lsn, page_id, image);
+    AppendRecordLocked_(kRecPageImage, next_lsn_++, page_id, image);
   }
   const uint64_t commit_lsn = next_lsn_++;
   AppendRecordLocked_(kRecCommit, commit_lsn,
@@ -535,9 +535,9 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& path, uint64_t db_id,
   // Images from a transaction whose commit record is missing are not
   // applied; `pending` is dropped here.
 
-  // Redo the committed after-images (unconditionally — see file comment
-  // in wal.h on why the page-header LSN is not a redo filter), then put
-  // back before-images of steals no committed image supersedes.
+  // Redo the committed after-images (unconditionally: each is a full
+  // page), then put back before-images of steals no committed image
+  // supersedes.
   for (const auto& [pid, img] : committed) {
     FM_FAIL_POINT("wal.replay");
     FM_RETURN_IF_ERROR(pager->EnsureCapacity(pid));

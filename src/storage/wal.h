@@ -3,18 +3,19 @@
 //
 // The log is a single append-only file next to the database file
 // (`<db>.wal`). Records are full page images framed with a CRC and
-// stamped with monotonically increasing LSNs; a transaction becomes
+// numbered with monotonically increasing LSNs; a transaction becomes
 // durable when its page images plus one commit record reach the platter.
+// The LSNs live only in the log: page bytes belong to the page layouts.
 // Group commit batches concurrent committers behind a single fsync: the
-// first committer to find no flush in flight becomes the leader, swaps
-// the append buffer out, writes and fsyncs it while the lock is dropped,
-// and wakes every follower whose commit LSN the flush covered.
+// first committer to find no flush in flight becomes the leader, waits
+// out a 100 us window (kGroup mode), swaps the append buffer out, writes
+// and fsyncs it while the lock is dropped, and wakes every follower whose
+// commit LSN the flush covered.
 //
 // Two record flavors beyond commit:
 //  - page image (redo): the after-image of a page dirtied by a committed
-//    maintenance transaction. Applied unconditionally during replay — a
-//    torn page in the main file can carry a fresh header LSN over a stale
-//    tail, so the header LSN is observability, not a redo filter.
+//    maintenance transaction. Replay redoes the last committed image of
+//    each page unconditionally; a full image needs no LSN comparison.
 //  - undo image: the before-image of a transaction-dirty page that the
 //    buffer pool must steal (evict to the main file) before its
 //    transaction commits. Replay restores the before-image unless a later
@@ -51,9 +52,9 @@ namespace fuzzymatch {
 
 /// When the log fsyncs (the `--wal-fsync` server flag).
 enum class WalFsyncMode : uint8_t {
-  /// Every flush fsyncs and commits never share one (group window 0).
+  /// Every flush fsyncs and the leader flushes at once (no window).
   kAlways = 0,
-  /// Every flush fsyncs; the leader waits a short window first so
+  /// Every flush fsyncs; the leader waits a 100 us window first so
   /// concurrent committers share the fsync. The default.
   kGroup = 1,
   /// Writes without fsync — commits can be lost to an OS crash (not a
@@ -64,13 +65,6 @@ enum class WalFsyncMode : uint8_t {
 /// Parses "always" | "group" | "never".
 Result<WalFsyncMode> ParseWalFsyncMode(std::string_view s);
 std::string_view WalFsyncModeName(WalFsyncMode mode);
-
-struct WalOptions {
-  WalFsyncMode fsync_mode = WalFsyncMode::kGroup;
-  /// Accumulation window the group-commit leader waits before flushing,
-  /// in microseconds. Only meaningful in kGroup mode.
-  uint32_t group_window_us = 100;
-};
 
 /// One database's write-ahead log. Thread-safe: any number of threads may
 /// commit concurrently; group commit serializes the physical I/O.
@@ -105,19 +99,19 @@ class Wal {
   /// by Replay() and made durable in the main file.
   static Result<std::unique_ptr<Wal>> Open(const std::string& path,
                                            uint64_t db_id, uint64_t start_lsn,
-                                           WalOptions options);
+                                           WalFsyncMode fsync_mode);
 
   ~Wal();
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Commits one maintenance transaction: stamps a fresh LSN into each
-  /// image's page header, appends the images plus a commit record, and
-  /// blocks until the batch is durable (per the fsync mode). `pages`
-  /// pairs a page id with its mutable kPageSize after-image. Returns the
-  /// commit LSN.
+  /// Commits one maintenance transaction: appends the images plus a
+  /// commit record and blocks until the batch is durable (per the fsync
+  /// mode). `pages` pairs a page id with its kPageSize after-image, which
+  /// is copied into the log buffer and not modified. Returns the commit
+  /// LSN.
   Result<uint64_t> CommitPages(
-      const std::vector<std::pair<PageId, char*>>& pages);
+      const std::vector<std::pair<PageId, const char*>>& pages);
 
   /// Appends a before-image record and blocks until it is durable. Must
   /// be called before a transaction-dirty page is written to the main
@@ -164,7 +158,7 @@ class Wal {
   int fd_ = -1;
   std::string path_;
   uint64_t db_id_ = 0;
-  WalOptions options_;
+  WalFsyncMode fsync_mode_ = WalFsyncMode::kGroup;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -36,6 +36,7 @@
 #include "fault/faulty_env.h"
 #include "gen/customer_gen.h"
 #include "match/naive_matcher.h"
+#include "storage/btree.h"
 #include "storage/database.h"
 
 namespace fuzzymatch {
@@ -344,6 +345,85 @@ TEST_F(WalRecoveryTest, CheckpointBarrierOrdering) {
   // window that silently corrupted the store when the catalog was
   // rewritten first. Acked maintenance must survive via the log.
   KillAndAudit("db.checkpoint_barrier", Action::kCrash);
+}
+
+// Nodes (internal and leaf pages) of the B+-tree rooted at `root`.
+size_t CountBTreeNodes(BufferPool* pool, PageId root) {
+  size_t nodes = 0;
+  std::vector<PageId> pending = {root};
+  while (!pending.empty()) {
+    const PageId id = pending.back();
+    pending.pop_back();
+    auto guard = pool->Fetch(id);
+    EXPECT_TRUE(guard.ok()) << guard.status();
+    if (!guard.ok()) return nodes;
+    ++nodes;
+    const Page page = guard->page();
+    if (page.type() != PageType::kBTreeInternal) continue;
+    pending.push_back(page.leftmost_child());
+    for (SlotId i = 0; i < page.slot_count(); ++i) {
+      pending.push_back(btree_internal::InternalChild(*page.Get(i)));
+    }
+  }
+  return nodes;
+}
+
+TEST_F(WalRecoveryTest, DurableSplitsKeepInternalNodesReadable) {
+  // A leaf split inside a maintenance transaction dirties the internal
+  // node above it, so the WAL commits an internal node's image. Its
+  // leftmost-child pointer must survive the commit in memory, through
+  // the log and across a reopen: every durable insert stays readable.
+  constexpr int kInserts = 120;
+  const std::string work = FreshWorkCopy("split");
+  const std::string index_name =
+      std::string("customers_eti_") + kStrategy + "_idx";
+  std::vector<OracleOp> oracle;
+  {
+    DatabaseOptions options;
+    options.path = work;
+    auto db = Database::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_NE((*db)->wal(), nullptr);
+    auto matcher = FuzzyMatcher::Open(db->get(), "customers", kStrategy);
+    ASSERT_TRUE(matcher.ok()) << matcher.status();
+    auto index = (*db)->GetIndex(index_name);
+    ASSERT_TRUE(index.ok()) << index.status();
+    BufferPool* pool = (*db)->buffer_pool();
+    const size_t nodes_before = CountBTreeNodes(pool, (*index)->root());
+
+    for (int i = 0; i < kInserts; ++i) {
+      const std::string n = std::to_string(i);
+      OracleOp op;
+      op.add = true;
+      op.row = Row{"walsplit" + n + " holdings" + n,
+                   std::string("tacoma" + n), std::string("wa"),
+                   std::string("97" + std::to_string(1000 + i))};
+      auto tid = (*matcher)->InsertReferenceTuple(op.row);
+      ASSERT_TRUE(tid.ok()) << "insert " << i << ": " << tid.status();
+      op.acked = true;
+      op.tid = *tid;
+      oracle.push_back(std::move(op));
+    }
+
+    // The ops split at least one leaf under an internal root.
+    {
+      auto root = pool->Fetch((*index)->root());
+      ASSERT_TRUE(root.ok()) << root.status();
+      EXPECT_EQ(root->page().type(), PageType::kBTreeInternal);
+    }
+    EXPECT_GT(CountBTreeNodes(pool, (*index)->root()), nodes_before);
+
+    // Read every insert back through the live index before the reopen.
+    for (const OracleOp& op : oracle) {
+      auto matches = (*matcher)->FindMatches(op.row);
+      ASSERT_TRUE(matches.ok()) << matches.status();
+      ASSERT_FALSE(matches->empty());
+      EXPECT_EQ((*matches)[0].tid, op.tid);
+      EXPECT_DOUBLE_EQ((*matches)[0].similarity, 1.0);
+    }
+  }
+  AuditExactPrefix(work, oracle);
+  RemoveWithWal(work);
 }
 
 TEST_F(WalRecoveryTest, RecoveryIsIdempotentAndByteIdentical) {

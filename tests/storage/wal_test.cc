@@ -62,8 +62,8 @@ class WalTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove(path_); }
 
   std::unique_ptr<Wal> OpenWal(uint64_t start_lsn = 1,
-                               WalOptions options = WalOptions{}) {
-    auto wal = Wal::Open(path_, kDbId, start_lsn, options);
+                               WalFsyncMode mode = WalFsyncMode::kGroup) {
+    auto wal = Wal::Open(path_, kDbId, start_lsn, mode);
     EXPECT_TRUE(wal.ok()) << wal.status();
     return std::move(*wal);
   }
@@ -108,9 +108,6 @@ TEST_F(WalTest, CommitReplayRoundTrip) {
     ASSERT_TRUE(lsn.ok()) << lsn.status();
     EXPECT_EQ(*lsn, 3u);  // two image LSNs, then the commit record
     EXPECT_EQ(wal->flushed_lsn(), 3u);
-    // The commit stamped each image's header LSN.
-    EXPECT_EQ(Page(img0.data()).lsn(), 1u);
-    EXPECT_EQ(Page(img1.data()).lsn(), 2u);
   }
 
   auto pager = Pager::OpenInMemory();
@@ -326,14 +323,14 @@ TEST_F(WalTest, FsyncModeControlsSyncsPerCommit) {
   auto& fsyncs = *obs::MetricsRegistry::Global().GetCounter("wal.fsyncs");
   auto img = MakeImage('f');
   {
-    auto wal = OpenWal(1, WalOptions{WalFsyncMode::kAlways, 0});
+    auto wal = OpenWal(1, WalFsyncMode::kAlways);
     const uint64_t before = fsyncs.value();
     ASSERT_TRUE(wal->CommitPages({{0, img.data()}}).ok());
     EXPECT_GT(fsyncs.value(), before);
   }
   std::filesystem::remove(path_);
   {
-    auto wal = OpenWal(1, WalOptions{WalFsyncMode::kNever, 0});
+    auto wal = OpenWal(1, WalFsyncMode::kNever);
     const uint64_t before = fsyncs.value();
     ASSERT_TRUE(wal->CommitPages({{0, img.data()}}).ok());
     EXPECT_EQ(fsyncs.value(), before);
@@ -346,7 +343,7 @@ TEST_F(WalTest, FsyncModeControlsSyncsPerCommit) {
 TEST_F(WalTest, GroupCommitUnderConcurrency) {
   constexpr int kThreads = 8;
   constexpr int kCommitsPerThread = 4;
-  auto wal = OpenWal(1, WalOptions{WalFsyncMode::kGroup, 200});
+  auto wal = OpenWal(1, WalFsyncMode::kGroup);
 
   std::vector<std::vector<char>> images;
   for (int i = 0; i < kThreads; ++i) {
@@ -391,12 +388,7 @@ TEST_F(WalTest, GroupCommitUnderConcurrency) {
   for (int t = 0; t < kThreads; ++t) {
     std::vector<char> got(kPageSize);
     ASSERT_TRUE(pager->ReadPage(static_cast<PageId>(t), got.data()).ok());
-    // Header LSNs differ between replays of the same page; compare the
-    // payload beyond the header.
-    EXPECT_EQ(std::memcmp(got.data() + Page::kHeaderSize,
-                          images[t].data() + Page::kHeaderSize,
-                          kPageSize - Page::kHeaderSize),
-              0);
+    EXPECT_EQ(std::memcmp(got.data(), images[t].data(), kPageSize), 0);
   }
 }
 

@@ -9,11 +9,13 @@
 #   tools/ci.sh faultcheck # failpoints compiled in + ASan: crash
 #                          # consistency, differential, error propagation
 #   tools/ci.sh perfsmoke  # ETI-accelerator on/off output parity + metrics
+#                          # + no query.slow log lines from the CLI
 #   tools/ci.sh obscheck   # observability end-to-end: statusz/tracez JSON
 #                          # shapes, slow-query capture via an injected
 #                          # sleep, and the tracing-overhead budget
 #   tools/ci.sh buildcheck # parallel ETI build determinism: 1-thread vs
-#                          # 4-thread builds must be byte-identical
+#                          # 4-thread builds must be byte-identical but
+#                          # for the random db_id
 #   tools/ci.sh lookupcheck # SIMD vs scalar decode (DESIGN.md 5i): a
 #                          # -DFM_SIMD=OFF build passing tier-1, and its
 #                          # match output byte-identical to the default
@@ -103,7 +105,14 @@ run_perfsmoke() {
   "$cli" corrupt --ref "$tmp/ref.csv" --out "$tmp/dirty.csv" --inputs 200
   "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
         --out "$tmp/out.accel.csv" --tokens \
-        --accel-budget-mb 64 --tuple-cache-mb 32
+        --accel-budget-mb 64 --tuple-cache-mb 32 2> "$tmp/match.err" ||
+    { cat "$tmp/match.err" >&2; exit 1; }
+  # The batch tool has no tracez reader, so it logs no slow-query lines.
+  if grep -q 'query\.slow' "$tmp/match.err"; then
+    echo "[ci] fuzzymatch_cli match logged query.slow lines:" >&2
+    cat "$tmp/match.err" >&2
+    exit 1
+  fi
   "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
         --out "$tmp/out.plain.csv" --tokens \
         --accel-budget-mb 0 --tuple-cache-mb 0
@@ -276,8 +285,12 @@ run_buildcheck() {
         --build-threads 1 --sort-budget-kb 256
   "$cli" build --ref "$tmp/ref.csv" --db "$tmp/parallel.fmdb" --tokens \
         --build-threads 4 --sort-budget-kb 256
-  cmp "$tmp/serial.fmdb" "$tmp/parallel.fmdb"
-  echo "[ci] ETI build byte-identical with 1 and 4 threads"
+  # File offsets 24..31 hold the catalog's db_id, minted at random for
+  # every new store (the WAL's identity guard), so two builds never agree
+  # there. Every other byte must be equal.
+  cmp -n 24 "$tmp/serial.fmdb" "$tmp/parallel.fmdb"
+  cmp -i 32 "$tmp/serial.fmdb" "$tmp/parallel.fmdb"
+  echo "[ci] ETI build byte-identical with 1 and 4 threads (db_id aside)"
   local leftovers
   leftovers="$(find "$tmp" \( -name 'fm_sort_run_*' -o -name 'fm_spill_probe_*' \))"
   if [ -n "$leftovers" ]; then

@@ -67,6 +67,7 @@
 #include "eti/eti_builder.h"
 #include "gen/customer_gen.h"
 #include "gen/dataset.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/json.h"
@@ -613,6 +614,14 @@ int main(int argc, char** argv) {
   const Args args(argc, argv);
   if (args.Has("verbose")) {
     SetLogLevel(LogLevel::kDebug);
+  }
+  // Batch cleaning records into the flight recorder, but this tool has
+  // no tracez reader: keep the per-query query.slow lines off stderr.
+  {
+    obs::FlightRecorder::Options recorder =
+        obs::FlightRecorder::Global().options();
+    recorder.log_outliers = false;
+    obs::FlightRecorder::Global().Configure(recorder);
   }
   Status status;
   if (command == "gen") {
